@@ -525,6 +525,8 @@ fn planner_for(mode: &str) -> Option<Planner> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
 
     #[test]

@@ -4,12 +4,14 @@
 //! (longest first) and each is assigned to the TAM where the resulting
 //! increase in SOC test time is least; ties go to the TAM with the smaller
 //! finish time. Complexity `O(n·k)` for `n` cores and `k` TAMs, as in the
-//! paper.
+//! paper. This is the unconstrained case of the list scheduler in
+//! [`schedule_with`](crate::schedule_with).
 
 use robust::CancelToken;
 
+use crate::constraints::{check_partition, place, schedule_with, Constraints};
 use crate::cost::CostModel;
-use crate::schedule::{Schedule, ScheduleError, ScheduledTest};
+use crate::schedule::{Schedule, ScheduleError};
 
 /// Schedules all cores of `cost` onto TAMs of the given `widths`, cores in
 /// longest-test-first order.
@@ -21,14 +23,7 @@ use crate::schedule::{Schedule, ScheduleError, ScheduledTest};
 /// [`ScheduleError::BadPartition`] when `widths` is empty or contains a
 /// zero width.
 pub fn greedy_schedule(cost: &CostModel, widths: &[u32]) -> Result<Schedule, ScheduleError> {
-    if widths.is_empty() || widths.contains(&0) {
-        return Err(ScheduleError::BadPartition {
-            total_width: widths.iter().sum(),
-            tams: widths.len() as u32,
-        });
-    }
-    let order = longest_first_order(cost, widths);
-    schedule_in_order(cost, widths, &order)
+    schedule_with(cost, widths, &Constraints::default())
 }
 
 /// Cancellable variant of [`greedy_schedule`].
@@ -80,47 +75,8 @@ pub fn schedule_in_order(
     widths: &[u32],
     order: &[usize],
 ) -> Result<Schedule, ScheduleError> {
-    if widths.is_empty() || widths.contains(&0) {
-        return Err(ScheduleError::BadPartition {
-            total_width: widths.iter().sum(),
-            tams: widths.len() as u32,
-        });
-    }
-    let k = widths.len();
-    let mut finish = vec![0u64; k];
-    let mut tests = Vec::with_capacity(order.len());
-    for &core in order {
-        let mut best: Option<(usize, u64, u64)> = None; // (tam, new_finish, new_makespan)
-        let current_makespan = finish.iter().copied().max().unwrap_or(0);
-        for (j, &w) in widths.iter().enumerate() {
-            let Some(d) = cost.time(core, w) else {
-                continue;
-            };
-            let new_finish = finish[j] + d;
-            let new_makespan = current_makespan.max(new_finish);
-            let cand = (j, new_finish, new_makespan);
-            let better = match &best {
-                None => true,
-                Some((_, bf, bm)) => {
-                    new_makespan < *bm || (new_makespan == *bm && new_finish < *bf)
-                }
-            };
-            if better {
-                best = Some(cand);
-            }
-        }
-        let Some((tam, new_finish, _)) = best else {
-            return Err(ScheduleError::CoreUnschedulable { core });
-        };
-        tests.push(ScheduledTest {
-            core,
-            tam,
-            start: finish[tam],
-            duration: new_finish - finish[tam],
-        });
-        finish[tam] = new_finish;
-    }
-    Ok(Schedule::new(widths.to_vec(), tests))
+    check_partition(widths)?;
+    place(cost, widths, order, &Constraints::default())
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! bus are tested serially. This crate provides the paper's scheduling
 //! heuristic ([`greedy_schedule`]), the architecture optimizer that chooses
 //! the partition ([`optimize_architecture`]), schedule validation, an ASCII
-//! Gantt view ([`render_gantt`]), and a power-constrained scheduling
-//! extension ([`power_aware_schedule`]).
+//! Gantt view ([`render_gantt`]), and the same list scheduler under side
+//! constraints ([`schedule_with`] over [`Constraints`]: a power budget,
+//! precedence edges, exclusive pairs and multi-frequency TAMs).
 //!
 //! Test times come from a [`CostModel`] — one row per core, one column per
 //! TAM width — so the same machinery serves plain wrapper designs,
@@ -31,31 +32,25 @@
 #![deny(missing_docs)]
 
 mod anneal;
-mod conflict;
+mod constraints;
 mod cost;
 mod exhaustive;
 mod gantt;
 mod greedy;
-mod multifreq;
 mod optimize;
-mod power;
-mod precedence;
 mod schedule;
 mod search;
 mod sweep;
 
 pub use anneal::{anneal_architecture, anneal_architecture_with, AnnealOptions};
-pub use conflict::{conflict_schedule, ConflictViolation, Conflicts};
+pub use constraints::{optimize_multifreq, schedule_with, Constraints};
 pub use cost::CostModel;
 pub use exhaustive::{exhaustive_architecture, exhaustive_architecture_with};
 pub use gantt::render_gantt;
 pub use greedy::{greedy_schedule, greedy_schedule_with, longest_first_order, schedule_in_order};
-pub use multifreq::{multifreq_schedule, optimize_multifreq, validate_multifreq, FreqTam};
 pub use optimize::{
     balanced_split, optimize_architecture, optimize_architecture_with, Architecture,
     ArchitectureOptions,
 };
-pub use power::{power_aware_schedule, PowerModel, PowerViolation};
-pub use precedence::{precedence_schedule, Precedence, PrecedenceViolation};
 pub use schedule::{Schedule, ScheduleError, ScheduledTest};
 pub use search::{Search, SearchStatus};

@@ -96,10 +96,25 @@ impl Schedule {
     ///
     /// Returns the first violated invariant as a [`ScheduleError`].
     pub fn validate(&self, cost: &CostModel) -> Result<(), ScheduleError> {
-        let n = cost.core_count();
-        let mut seen = vec![false; n];
+        self.validate_durations(cost.core_count(), |t, width| {
+            cost.time(t.core, width)
+                .ok_or(ScheduleError::InfeasibleWidth {
+                    core: t.core,
+                    width,
+                })
+        })
+    }
+
+    /// The structural invariants over `cores` cores, with each test's
+    /// required duration (or the reason it has none) given by `expected`.
+    pub(crate) fn validate_durations(
+        &self,
+        cores: usize,
+        expected: impl Fn(&ScheduledTest, u32) -> Result<u64, ScheduleError>,
+    ) -> Result<(), ScheduleError> {
+        let mut seen = vec![false; cores];
         for t in &self.tests {
-            if t.core >= n {
+            if t.core >= cores {
                 return Err(ScheduleError::UnknownCore { core: t.core });
             }
             if t.tam >= self.tam_widths.len() {
@@ -112,22 +127,13 @@ impl Schedule {
                 return Err(ScheduleError::DuplicateCore { core: t.core });
             }
             seen[t.core] = true;
-            let width = self.tam_widths[t.tam];
-            match cost.time(t.core, width) {
-                Some(d) if d == t.duration => {}
-                Some(d) => {
-                    return Err(ScheduleError::WrongDuration {
-                        core: t.core,
-                        expected: d,
-                        found: t.duration,
-                    });
-                }
-                None => {
-                    return Err(ScheduleError::InfeasibleWidth {
-                        core: t.core,
-                        width,
-                    });
-                }
+            let d = expected(t, self.tam_widths[t.tam])?;
+            if d != t.duration {
+                return Err(ScheduleError::WrongDuration {
+                    core: t.core,
+                    expected: d,
+                    found: t.duration,
+                });
             }
         }
         if let Some(core) = seen.iter().position(|&s| !s) {
@@ -240,6 +246,74 @@ pub enum ScheduleError {
     /// A cancellable search was stopped before it found any feasible
     /// architecture to return as an incumbent.
     Interrupted,
+    /// A per-core or per-TAM constraint list has the wrong length.
+    ConstraintLength {
+        /// The [`Constraints`](crate::Constraints) field.
+        field: &'static str,
+        /// Entries needed: the core or TAM count.
+        expected: usize,
+        /// Entries given.
+        found: usize,
+    },
+    /// A precedence edge or exclusive pair names a core outside the cost
+    /// model.
+    UnknownConstraintCore {
+        /// The offending core index.
+        core: usize,
+    },
+    /// The precedence edges form a cycle, so this core can never start.
+    PrecedenceCycle {
+        /// The lowest-index core left unordered.
+        core: usize,
+    },
+    /// A power budget of zero.
+    ZeroPowerBudget,
+    /// A core's test power alone exceeds the budget.
+    CoreOverPowerBudget {
+        /// The core.
+        core: usize,
+        /// Its test power.
+        power: u64,
+        /// The budget.
+        budget: u64,
+    },
+    /// A TAM clock multiplier of zero.
+    ZeroClockMultiplier {
+        /// The TAM index.
+        tam: usize,
+    },
+    /// A multi-frequency search was given no multipliers to try.
+    NoFrequencyOptions,
+    /// Concurrent test power exceeds the budget.
+    PowerExceeded {
+        /// Peak concurrent power found.
+        peak: u64,
+        /// The budget.
+        budget: u64,
+    },
+    /// A test starts before its predecessor finished.
+    PrecedenceViolated {
+        /// The predecessor core.
+        before: usize,
+        /// The dependent core.
+        after: usize,
+    },
+    /// Two exclusive tests overlap in time.
+    ExclusiveOverlap {
+        /// One core of the pair.
+        first: usize,
+        /// The other core.
+        second: usize,
+    },
+    /// A core runs on a TAM clocked faster than its cap.
+    FrequencyCapExceeded {
+        /// The core.
+        core: usize,
+        /// The TAM's clock multiplier.
+        freq: u32,
+        /// The core's cap.
+        cap: u32,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -278,6 +352,49 @@ impl fmt::Display for ScheduleError {
                     f,
                     "search cancelled before any feasible architecture was found"
                 )
+            }
+            ScheduleError::ConstraintLength {
+                field,
+                expected,
+                found,
+            } => write!(
+                f,
+                "constraint `{field}` has {found} entries, expected {expected}"
+            ),
+            ScheduleError::UnknownConstraintCore { core } => {
+                write!(f, "a constraint names unknown core {core}")
+            }
+            ScheduleError::PrecedenceCycle { core } => {
+                write!(
+                    f,
+                    "precedence edges form a cycle: core {core} can never start"
+                )
+            }
+            ScheduleError::ZeroPowerBudget => write!(f, "power budget must be positive"),
+            ScheduleError::CoreOverPowerBudget {
+                core,
+                power,
+                budget,
+            } => write!(
+                f,
+                "core {core} draws {power} alone, over the power budget {budget}"
+            ),
+            ScheduleError::ZeroClockMultiplier { tam } => {
+                write!(f, "TAM {tam} has a zero clock multiplier")
+            }
+            ScheduleError::NoFrequencyOptions => write!(f, "no clock multipliers to search"),
+            ScheduleError::PowerExceeded { peak, budget } => {
+                write!(f, "peak test power {peak} exceeds the budget {budget}")
+            }
+            ScheduleError::PrecedenceViolated { before, after } => write!(
+                f,
+                "core {after} starts before its predecessor core {before} finishes"
+            ),
+            ScheduleError::ExclusiveOverlap { first, second } => {
+                write!(f, "exclusive cores {first} and {second} overlap in time")
+            }
+            ScheduleError::FrequencyCapExceeded { core, freq, cap } => {
+                write!(f, "core {core} runs at {freq}x, over its cap of {cap}x")
             }
         }
     }

@@ -392,6 +392,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Test times of 1–3 cycles make most placements ties, pinning the
+        /// tie-break the sweep shares with `greedy_schedule`: least
+        /// makespan, then earliest finish, then the lower TAM index.
+        #[test]
+        fn tie_heavy_costs_match_greedy(
+            times in proptest::collection::vec(1u64..4, 12),
+            widths in proptest::collection::vec(1u32..4, 2..5),
+        ) {
+            let m = CostModel::from_fn(&["a", "b", "c", "d"], 3, |i, w| {
+                Some(times[i * 3 + w as usize - 1])
+            });
+            let mut sweep = GreedySweep::new(&m);
+            sweep.reset(&widths);
+            check(&m, &mut sweep, &widths);
+        }
+
         /// Satellite (c): incremental donor/bottleneck rescheduling agrees
         /// with `greedy_schedule` from scratch after every move of a
         /// random move sequence.

@@ -9,9 +9,8 @@
 //! Don't-care positions are resolved by an X-fill policy before counting —
 //! `Zero` fill (what the FDR encoder assumes) or `MinTransition` fill
 //! (repeat the previous care value), the classic low-power choice. The
-//! estimates plug directly into
-//! [`tam::PowerModel`](../tam/struct.PowerModel.html)-style scheduling as
-//! per-core power figures.
+//! estimates plug directly into the per-core `power` of
+//! [`tam::Constraints`](../tam/struct.Constraints.html) as power figures.
 
 use soc_model::{TestSet, Trit, TritVec};
 

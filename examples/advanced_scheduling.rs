@@ -10,10 +10,7 @@ use soc_tdc::model::benchmarks::Design;
 use soc_tdc::model::compaction::compact;
 use soc_tdc::planner::{CompressionMode, DecisionConfig, DecisionTable};
 use soc_tdc::report::group_digits;
-use soc_tdc::tam::{
-    conflict_schedule, greedy_schedule, optimize_multifreq, validate_multifreq, Conflicts,
-    CostModel,
-};
+use soc_tdc::tam::{greedy_schedule, optimize_multifreq, schedule_with, Constraints, CostModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let soc = Design::System1.build_with_cubes(3);
@@ -28,12 +25,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let widths = [8u32, 8];
 
-    // 1. Conflict constraints: cores 0/1 and 2/3 share analog supplies, so
+    // 1. Exclusive pairs: cores 0/1 and 2/3 share analog supplies, so
     //    their scan tests may not overlap even across TAMs.
     let free = greedy_schedule(&cost, &widths)?;
-    let conflicts = Conflicts::from_pairs(vec![(0, 1), (2, 3)]);
-    let constrained = conflict_schedule(&cost, &widths, &conflicts)?;
-    conflicts.validate(&constrained)?;
+    let conflicts = Constraints {
+        exclusive: vec![(0, 1), (2, 3)],
+        ..Constraints::default()
+    };
+    let constrained = schedule_with(&cost, &widths, &conflicts)?;
+    conflicts.validate(&cost, &constrained)?;
     println!(
         "conflict constraints: tau {} → {} (+{:.1}%)",
         group_digits(free.makespan()),
@@ -43,19 +43,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Multi-frequency TAMs: the two smallest cores tolerate 4× scan
     //    clocks, the rest 2×.
-    let caps: Vec<u32> = soc
-        .cores()
-        .iter()
-        .map(|c| if c.scan_cells() < 15_000 { 4 } else { 2 })
-        .collect();
+    let caps = Constraints {
+        freq_cap: soc
+            .cores()
+            .iter()
+            .map(|c| if c.scan_cells() < 15_000 { 4 } else { 2 })
+            .collect(),
+        ..Constraints::default()
+    };
     let (tams, mf) = optimize_multifreq(&cost, 16, &[1, 2, 4], &caps)?;
-    validate_multifreq(&mf, &cost, &tams, &caps)?;
+    tams.validate(&cost, &mf)?;
     println!(
         "multi-frequency TAMs: tau {} → {} using {:?}",
         group_digits(free.makespan()),
         group_digits(mf.makespan()),
-        tams.iter()
-            .map(|t| format!("{}w@{}x", t.width, t.freq))
+        mf.tam_widths()
+            .iter()
+            .zip(&tams.tam_freq)
+            .map(|(w, f)| format!("{w}w@{f}x"))
             .collect::<Vec<_>>()
     );
 

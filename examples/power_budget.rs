@@ -12,7 +12,7 @@
 use soc_tdc::model::benchmarks::Design;
 use soc_tdc::planner::{DecisionConfig, PlanRequest, Planner};
 use soc_tdc::report::group_digits;
-use soc_tdc::tam::{power_aware_schedule, render_gantt, CostModel, PowerModel};
+use soc_tdc::tam::{render_gantt, schedule_with, Constraints, CostModel};
 use soc_tdc::wrapper::{design_wrapper, estimate_scan_power, Fill};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         group_digits(plan.test_time)
     );
 
-    // Rebuild the cost rows at the chosen TAM widths so the power-aware
+    // Rebuild the cost rows at the chosen TAM widths so the constrained
     // scheduler can re-place the same operating points.
     let widths = plan.schedule.tam_widths().to_vec();
     let mut cost = CostModel::new(*widths.iter().max().expect("TAMs exist"));
@@ -65,10 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for frac in [100u64, 60, 40, 25] {
         let budget = (total * frac / 100).max(*powers.iter().max().expect("cores"));
-        let power = PowerModel::new(powers.clone(), budget);
-        let schedule = power_aware_schedule(&cost, &widths, &power)?;
-        schedule.validate(&cost)?;
-        power.validate(&schedule)?;
+        let power = Constraints {
+            power: powers.clone(),
+            power_budget: Some(budget),
+            ..Constraints::default()
+        };
+        let schedule = schedule_with(&cost, &widths, &power)?;
+        power.validate(&cost, &schedule)?;
         println!(
             "budget {budget:>4} ({frac:>3}% of total): tau = {:>10}, peak = {:>4}",
             group_digits(schedule.makespan()),

@@ -11,9 +11,7 @@ use soc_tdc::planner::{
 };
 use soc_tdc::selenc::generate_testbench;
 use soc_tdc::selenc::SliceCode;
-use soc_tdc::tam::{
-    conflict_schedule, multifreq_schedule, validate_multifreq, Conflicts, CostModel, FreqTam,
-};
+use soc_tdc::tam::{schedule_with, Constraints, CostModel};
 use soc_tdc::wrapper::{design_wrapper, estimate_scan_power, Fill};
 
 fn fast(w: u32) -> PlanRequest {
@@ -83,20 +81,23 @@ fn planner_cost_rows_feed_multifreq_and_conflicts() {
     let widths: Vec<u32> = plan.schedule.tam_widths().to_vec();
 
     // Multi-frequency: every core tolerates 2×, two giants only 1×.
-    let caps: Vec<u32> = (0..cost.core_count())
-        .map(|i| if i < 2 { 1 } else { 2 })
-        .collect();
-    let tams: Vec<FreqTam> = widths
-        .iter()
-        .map(|&w| FreqTam { width: w, freq: 1 })
-        .collect();
-    let s1 = multifreq_schedule(&cost, &tams, &caps).unwrap();
-    validate_multifreq(&s1, &cost, &tams, &caps).unwrap();
+    let multifreq = Constraints {
+        tam_freq: vec![1; widths.len()],
+        freq_cap: (0..cost.core_count())
+            .map(|i| if i < 2 { 1 } else { 2 })
+            .collect(),
+        ..Constraints::default()
+    };
+    let s1 = schedule_with(&cost, &widths, &multifreq).unwrap();
+    multifreq.validate(&cost, &s1).unwrap();
 
-    // Conflict groups: a hierarchical parent serializes cores 3..6.
-    let conflicts = Conflicts::from_groups(&[vec![3, 4, 5]]);
-    let s2 = conflict_schedule(&cost, &widths, &conflicts).unwrap();
-    conflicts.validate(&s2).unwrap();
+    // Exclusive group: a hierarchical parent serializes cores 3..6.
+    let group = Constraints {
+        exclusive: vec![(3, 4), (3, 5), (4, 5)],
+        ..Constraints::default()
+    };
+    let s2 = schedule_with(&cost, &widths, &group).unwrap();
+    group.validate(&cost, &s2).unwrap();
     s2.validate(&cost).unwrap();
 }
 

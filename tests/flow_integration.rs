@@ -9,9 +9,7 @@ use soc_tdc::model::generator::synthesize_missing_test_sets;
 use soc_tdc::model::itc02::{parse_itc02, write_itc02};
 use soc_tdc::planner::{export_image, verify_image, DecisionConfig, PlanRequest, Planner};
 use soc_tdc::selenc::{generate_verilog, SliceCode, SliceStats};
-use soc_tdc::tam::{
-    anneal_architecture, precedence_schedule, AnnealOptions, CostModel, Precedence,
-};
+use soc_tdc::tam::{anneal_architecture, schedule_with, AnnealOptions, Constraints, CostModel};
 
 const ITC02_TEXT: &str = "\
 SocName flow
@@ -134,10 +132,13 @@ fn planner_output_feeds_scheduling_extensions() {
     let widths = plan.schedule.tam_widths().to_vec();
 
     // Precedence: module order 0 → 1 → 2 must be honored.
-    let prec = Precedence::from_edges(vec![(0, 1), (1, 2)]);
-    let sched = precedence_schedule(&cost, &widths, &prec).unwrap();
+    let prec = Constraints {
+        precedence: vec![(0, 1), (1, 2)],
+        ..Constraints::default()
+    };
+    let sched = schedule_with(&cost, &widths, &prec).unwrap();
     sched.validate(&cost).unwrap();
-    prec.validate(&sched).unwrap();
+    prec.validate(&cost, &sched).unwrap();
 
     // Annealing over the same cost model produces a valid architecture at
     // least as good as one big TAM.

@@ -1,15 +1,16 @@
 //! Property-based tests of the TAM/scheduling layer: for arbitrary cost
 //! models and partitions, schedules must validate, architecture search must
-//! never lose to its own starting point, and power-aware schedules must
-//! respect their budget.
+//! never lose to its own starting point, the constrained list scheduler
+//! must equal the greedy one when its constraints are slack, and
+//! constrained schedules must honour every constraint.
 
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
 
 use soc_tdc::tam::{
-    greedy_schedule, optimize_architecture, power_aware_schedule, ArchitectureOptions, CostModel,
-    PowerModel,
+    balanced_split, greedy_schedule, optimize_architecture, schedule_with, ArchitectureOptions,
+    Constraints, CostModel,
 };
 
 /// Strategy: a cost model with monotone non-increasing rows (wider TAMs
@@ -76,10 +77,11 @@ proptest! {
         let n = cost.core_count();
         let powers = powers[..n].to_vec();
         let budget = powers.iter().copied().max().unwrap() + budget_extra;
-        let power = PowerModel::new(powers, budget);
-        if let Ok(s) = power_aware_schedule(&cost, &[4, 4], &power) {
+        let c = power(powers, budget);
+        if let Ok(s) = schedule_with(&cost, &[4, 4], &c) {
             prop_assert!(s.validate(&cost).is_ok());
-            prop_assert!(power.peak_power(&s) <= budget);
+            prop_assert!(c.validate(&cost, &s).is_ok());
+            prop_assert!(c.peak_power(&s) <= budget);
         }
     }
 
@@ -92,15 +94,90 @@ proptest! {
         let powers = powers[..n].to_vec();
         let pmax: u64 = powers.iter().copied().max().unwrap();
         let total: u64 = powers.iter().sum();
-        let loose = PowerModel::new(powers.clone(), total.max(pmax));
-        let tight = PowerModel::new(powers, pmax);
+        let loose = power(powers.clone(), total.max(pmax));
+        let tight = power(powers, pmax);
         let widths = [4u32, 4];
         if let (Ok(a), Ok(b)) = (
-            power_aware_schedule(&cost, &widths, &loose),
-            power_aware_schedule(&cost, &widths, &tight),
+            schedule_with(&cost, &widths, &loose),
+            schedule_with(&cost, &widths, &tight),
         ) {
             prop_assert!(b.makespan() >= a.makespan());
         }
+    }
+
+    #[test]
+    fn slack_constraints_equal_greedy_bit_for_bit(
+        cost in cost_model(12),
+        split in 1u32..5,
+        powers in proptest::collection::vec(0u64..50, 10),
+        budget_extra in 0u64..100,
+        caps in proptest::collection::vec(1u32..5, 10),
+    ) {
+        let n = cost.core_count();
+        let widths = balanced_split(12, split);
+        let powers = powers[..n].to_vec();
+        let budget = powers.iter().sum::<u64>() + budget_extra + 1;
+        let slack = Constraints {
+            tam_freq: vec![1; widths.len()],
+            freq_cap: caps[..n].to_vec(),
+            ..power(powers, budget)
+        };
+        prop_assert_eq!(
+            schedule_with(&cost, &widths, &slack),
+            greedy_schedule(&cost, &widths)
+        );
+    }
+
+    #[test]
+    fn all_constraints_at_once_validate(
+        cost in cost_model(12),
+        split in 1u32..4,
+        powers in proptest::collection::vec(1u64..50, 10),
+        budget_extra in 0u64..60,
+        edges in proptest::collection::vec((0usize..10, 0usize..10), 0..5),
+        pairs in proptest::collection::vec((0usize..10, 0usize..10), 0..5),
+        freqs in proptest::collection::vec(1u32..4, 4),
+        caps in proptest::collection::vec(1u32..4, 10),
+    ) {
+        let n = cost.core_count();
+        let widths = balanced_split(12, split);
+        let powers = powers[..n].to_vec();
+        let budget = powers.iter().copied().max().unwrap() + budget_extra;
+        let mut caps = caps[..n].to_vec();
+        caps[0] = 1; // a slow TAM must exist for core 0
+        let mut tam_freq = freqs[..widths.len()].to_vec();
+        tam_freq[0] = 1;
+        let c = Constraints {
+            // Forward edges only, so the relation is acyclic.
+            precedence: edges.iter().map(|&(a, b)| (a % n, b % n)).filter(|&(a, b)| a < b).collect(),
+            exclusive: pairs.iter().map(|&(a, b)| (a % n, b % n)).filter(|&(a, b)| a != b).collect(),
+            tam_freq,
+            freq_cap: caps,
+            ..power(powers, budget)
+        };
+        let fastest = u64::from(*c.tam_freq.iter().max().unwrap());
+        match schedule_with(&cost, &widths, &c) {
+            Ok(s) => {
+                prop_assert_eq!(c.validate(&cost, &s), Ok(()));
+                // Delays and caps never beat the unconstrained bound at the
+                // fastest clock. (Not the unconstrained *greedy* makespan:
+                // like any list scheduler it has Graham anomalies, where a
+                // delay happens to pack the rest better.)
+                prop_assert!(s.makespan() >= cost.lower_bound(12) / fastest);
+            }
+            Err(e) => {
+                // Only a core too wide for every TAM its cap admits.
+                prop_assert!(matches!(e, soc_tdc::tam::ScheduleError::CoreUnschedulable { .. }), "{e}");
+            }
+        }
+    }
+}
+
+fn power(power: Vec<u64>, budget: u64) -> Constraints {
+    Constraints {
+        power,
+        power_budget: Some(budget),
+        ..Constraints::default()
     }
 }
 
