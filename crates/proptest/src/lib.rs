@@ -753,7 +753,7 @@ mod tests {
             flag: bool,
             seed: u64,
         ) {
-            prop_assume!(!v.is_empty() || flag || seed % 2 == 0);
+            prop_assume!(!v.is_empty() || flag || seed.is_multiple_of(2));
             prop_assert!(v.iter().all(|&x| x < 3));
             prop_assert!(a < 5 && b < 5);
             prop_assert_eq!(a + b, b + a);

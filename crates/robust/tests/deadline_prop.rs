@@ -14,6 +14,14 @@ use proptest::prelude::*;
 
 use robust::{CancelToken, Deadline};
 
+/// The clock read every property starts from. `robust` is the one crate
+/// allowed to read the wall clock (it owns `Deadline`), so its tests
+/// read it through this one audited helper.
+#[allow(clippy::disallowed_methods)]
+fn now() -> Instant {
+    Instant::now()
+}
+
 /// A deadline at a fixed offset (ms) from a common base instant —
 /// comparisons between two of these are exact, no clock reads involved.
 fn at_offset(base: Instant, ms: u64) -> Deadline {
@@ -30,7 +38,7 @@ proptest! {
         b in 0u64..1_000_000,
         c in 0u64..1_000_000,
     ) {
-        let base = Instant::now();
+        let base = now();
         let (da, db, dc) = (at_offset(base, a), at_offset(base, b), at_offset(base, c));
         prop_assert_eq!(da.min(db), db.min(da));
         prop_assert_eq!(da.min(db).min(dc), da.min(db.min(dc)));
@@ -39,7 +47,7 @@ proptest! {
 
     #[test]
     fn min_with_unbounded_is_identity(ms in 0u64..1_000_000) {
-        let base = Instant::now();
+        let base = now();
         let d = at_offset(base, ms);
         prop_assert_eq!(d.min(Deadline::none()), d);
         prop_assert_eq!(Deadline::none().min(d), d);
@@ -98,7 +106,7 @@ proptest! {
         let huge = Deadline::within(Duration::MAX);
         prop_assert_eq!(huge.remaining(), None);
         prop_assert!(!huge.expired());
-        let base = Instant::now();
+        let base = now();
         let bounded = at_offset(base, ms);
         prop_assert_eq!(huge.min(bounded), bounded);
         prop_assert_eq!(huge.fraction(0.5), huge);
@@ -128,7 +136,7 @@ proptest! {
         b in 0u64..1_000_000,
         c in 0u64..1_000_000,
     ) {
-        let base = Instant::now();
+        let base = now();
         let (da, db, dc) = (at_offset(base, a), at_offset(base, b), at_offset(base, c));
         let root = CancelToken::with(da);
         let chained = root.with_deadline(db).with_deadline(dc);
@@ -141,7 +149,7 @@ proptest! {
     /// clones: cancelling any one trips them all, in both directions.
     #[test]
     fn cancel_propagates_through_nested_children(depth in 1usize..8, ms in 1u64..1_000_000) {
-        let base = Instant::now();
+        let base = now();
         let root = CancelToken::never();
         let mut leaf = root.clone();
         for step in 0..depth {
@@ -159,7 +167,7 @@ proptest! {
     /// loosens or tightens anything.
     #[test]
     fn unbounded_child_inherits_parent_bound(ms in 0u64..1_000_000) {
-        let base = Instant::now();
+        let base = now();
         let d = at_offset(base, ms);
         let parent = CancelToken::with(d);
         let child = parent.with_deadline(Deadline::none());

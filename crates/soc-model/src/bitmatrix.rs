@@ -275,11 +275,11 @@ mod tests {
         }
         let orig = a;
         transpose64(&mut a);
-        for r in 0..64 {
-            for c in 0..64 {
+        for (r, &row) in a.iter().enumerate() {
+            for (c, &col) in orig.iter().enumerate() {
                 assert_eq!(
-                    (a[r] >> c) & 1,
-                    (orig[c] >> r) & 1,
+                    (row >> c) & 1,
+                    (col >> r) & 1,
                     "transpose mismatch at ({r},{c})"
                 );
             }

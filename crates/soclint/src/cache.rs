@@ -1,9 +1,10 @@
 //! Fingerprint-keyed incremental lint cache.
 //!
-//! The per-file stage ([`crate::facts::analyze_file`]) is the expensive
-//! part of a workspace run — lexing, parsing, and the taint walk. Its
-//! result depends only on the file's path and contents, so it is cached
-//! as one artifact per file, keyed by an FNV-1a content fingerprint
+//! The per-file pass ([`crate::facts::analyze_file`]) is the expensive
+//! part of a workspace run — lexing, parsing, the token rules and the
+//! per-fn walks, which yield the file's diagnostics and facts in one go.
+//! Its result depends only on the file's path and contents, so it is
+//! cached as one artifact per file, keyed by an FNV-1a content fingerprint
 //! (mirroring the planner's profile cache). The global fixpoints in
 //! [`crate::graph`] are cheap and re-run every time over the full fact
 //! set, which is what makes the "edited file plus its call-graph
@@ -19,14 +20,13 @@
 use std::path::Path;
 
 use crate::facts::{
-    ArgFlow, CallFact, FileAnalysis, FileFacts, FnFact, GlobalAllows, LoopFact, LoopKind,
-    PanicFact, ParamSink,
+    ArgFlow, CallFact, FileAnalysis, FileFacts, FnFact, LoopFact, LoopKind, PanicFact, ParamSink,
 };
-use crate::rules::Diagnostic;
+use crate::rules::{Allows, Diagnostic};
 
 /// Format header; bump the version whenever record shapes or any
 /// analysis semantics change — a stale-version artifact is a miss.
-const HEADER: &str = "soclint-cache v2";
+const HEADER: &str = "soclint-cache v3";
 
 /// FNV-1a 64-bit over the file contents.
 fn fingerprint(source: &str) -> u64 {
@@ -201,7 +201,7 @@ fn parse_artifact(text: &str, expect_path: &str) -> Option<FileAnalysis> {
         path: String::new(),
         fns: Vec::new(),
         uses: Vec::new(),
-        allows: GlobalAllows::default(),
+        allows: Allows::default(),
     };
     let mut ended = false;
     for line in lines {
@@ -434,6 +434,7 @@ mod tests {
             "",
             "garbage",
             "soclint-cache v0\npath\tx\nend\n",
+            "soclint-cache v2\npath\tx.rs\nend\n",
             &format!("{HEADER}\npath\tother.rs\nend\n"),
             &format!("{HEADER}\npath\tx.rs\nD\tonly\ttwo\nend\n"),
             &format!("{HEADER}\npath\tx.rs\nP\t3\torphan panic\nend\n"),

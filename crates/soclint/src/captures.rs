@@ -1,10 +1,13 @@
-//! Pass 2b: closure-capture determinism analysis.
+//! Closure-capture determinism analysis: the job-thunk walk of the
+//! per-file pass ([`crate::facts::analyze_file`]) plus two token rules.
 //!
 //! The determinism contract (DESIGN.md §5) requires bit-identical plans
 //! at any worker count. Jobs submitted to `parpool` run in an arbitrary
 //! interleaving, so the only safe shapes are *pure thunks* (capture by
 //! value or shared immutable reference, return the result) reduced **by
-//! job index** with a fixed tie-break. Three rules police that:
+//! job index** with a fixed tie-break. Four rules police that; one walk
+//! over each job thunk (`check_thunks`) reports the first and the
+//! last:
 //!
 //! - `capture-mut` — inside a nullary `move ||` closure (the job-thunk
 //!   shape `FnOnce() -> T`), a captured binding reached through a
@@ -36,8 +39,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{Token, TokenKind};
-use crate::parse::{Ast, Closure, LetBinding};
+use crate::lexer::{at, ident_at, Token, TokenKind};
+use crate::parse::{closure_tree, match_group, Closure, LetBinding};
 
 /// Method names whose receiver is (or guards) shared mutable state.
 const SHARED_MUTATION_METHODS: &[&str] = &[
@@ -88,236 +91,116 @@ const COMPLETION_ORDER_SOURCES: &[&str] = &[
     "steal",
 ];
 
-fn at(toks: &[Token], sig: &[usize], j: usize, c: char) -> bool {
-    sig.get(j).is_some_and(|&t| toks[t].is_punct(c))
-}
-
-fn ident_at<'t>(toks: &'t [Token], sig: &[usize], j: usize) -> Option<&'t str> {
-    sig.get(j).and_then(|&t| toks[t].ident())
-}
-
-/// `capture-mut`: walks every closure tree in the file and analyzes the
-/// nullary `move ||` ones (job thunks).
-pub fn check_captures(
-    ast: &Ast,
+/// The job-thunk walk over one fn's closure tree (pre-order, from
+/// [`crate::parse::closure_tree`]): every nullary `move ||` closure — the
+/// `FnOnce() -> T` job shape — is checked once for both rules. A name is
+/// a capture unless it is a method name, a path segment, or local to the
+/// thunk (a parameter or `let` of the thunk or of any closure nested in
+/// it: the flattening over-approximates scope, which can only suppress,
+/// never invent, a finding). On a capture:
+///
+/// - `capture-mut`: borrowed `&mut`, reached through a
+///   [`SHARED_MUTATION_METHODS`] call, assigned, or compound-assigned;
+/// - `dsan-escape`: unless dsan-bound (see [`dsan_bound_names`]), reached
+///   through a mutation or [`SHARED_READ_METHODS`] call.
+pub(crate) fn check_thunks(
+    tree: &[&Closure],
     toks: &[Token],
+    sig: &[usize],
+    bound: &BTreeSet<&str>,
     in_test: &dyn Fn(u32) -> bool,
     push: &mut dyn FnMut(&str, u32, String),
 ) {
-    for f in &ast.fns {
-        for c in &f.closures {
-            walk_closure(c, ast, toks, in_test, push);
+    for &c in tree.iter().filter(|c| c.is_move && c.nullary) {
+        let mut locals: BTreeSet<&str> = BTreeSet::new();
+        for n in closure_tree(std::slice::from_ref(c)) {
+            locals.extend(n.params.iter().map(String::as_str));
+            locals.extend(n.lets.iter().flat_map(|l| &l.names).map(String::as_str));
         }
-    }
-}
-
-fn walk_closure(
-    c: &Closure,
-    ast: &Ast,
-    toks: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    if c.is_move && c.nullary {
-        check_job_thunk(c, ast, toks, in_test, push);
-    }
-    for nested in &c.closures {
-        walk_closure(nested, ast, toks, in_test, push);
-    }
-}
-
-/// Analyzes one job thunk for mutation of captured state. Locals of the
-/// thunk *and* of every nested closure are treated as non-captures (the
-/// flattening over-approximates scope, which can only suppress, never
-/// invent, a finding on locals).
-fn check_job_thunk(
-    c: &Closure,
-    ast: &Ast,
-    toks: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    let mut locals: BTreeSet<&str> = BTreeSet::new();
-    collect_locals(c, &mut locals);
-
-    let sig = &ast.sig;
-    let (start, end) = c.body;
-    let mut j = start;
-    while j < end.min(sig.len()) {
-        let Some(name) = ident_at(toks, sig, j) else {
-            j += 1;
-            continue;
-        };
-        let line = toks[sig[j]].line;
-        // Skip method names / path segments / locals / test code.
-        let after_dot = j > 0 && (at(toks, sig, j - 1, '.') || at(toks, sig, j - 1, ':'));
-        let before_path = at(toks, sig, j + 1, ':') && at(toks, sig, j + 2, ':');
-        if after_dot || before_path || locals.contains(name) || in_test(line) {
-            j += 1;
-            continue;
-        }
-
-        // `&mut name` — a mutable borrow of a capture escaping the thunk.
-        if j >= 2
-            && ident_at(toks, sig, j - 1) == Some("mut")
-            && at(toks, sig, j.wrapping_sub(2), '&')
-        {
-            push(
-                "capture-mut",
-                line,
-                capture_msg(name, c.line, line, "borrowed `&mut`"),
-            );
-            j += 1;
-            continue;
-        }
-
-        // Step over index groups: `queue[i].lock()` mutates `queue`.
-        let mut k = j + 1;
-        while at(toks, sig, k, '[') {
-            k = skip_group(toks, sig, k, '[', ']');
-        }
-
-        if at(toks, sig, k, '.') {
-            if let Some(m) = ident_at(toks, sig, k + 1) {
-                if SHARED_MUTATION_METHODS.contains(&m) && at(toks, sig, k + 2, '(') {
-                    push(
-                        "capture-mut",
-                        line,
-                        capture_msg(name, c.line, line, &format!("mutated via `.{m}(…)`")),
-                    );
-                }
-            }
-        } else if is_assignment(toks, sig, j, k) {
-            let deref = j > 0 && at(toks, sig, j - 1, '*');
-            let how = if deref {
-                "deref-assigned (`*… = …`)"
-            } else {
-                "assigned"
+        let (start, end) = c.body;
+        for j in start..end.min(sig.len()) {
+            let Some(name) = ident_at(toks, sig, j) else {
+                continue;
             };
-            push("capture-mut", line, capture_msg(name, c.line, line, how));
-        }
-        j += 1;
-    }
-}
+            let line = toks[sig[j]].line;
+            let after_dot = j > 0 && (at(toks, sig, j - 1, '.') || at(toks, sig, j - 1, ':'));
+            let before_path = at(toks, sig, j + 1, ':') && at(toks, sig, j + 2, ':');
+            if after_dot || before_path || locals.contains(name) || in_test(line) {
+                continue;
+            }
+            // Step over index groups: `queue[i].lock()` reaches `queue`.
+            let mut k = j + 1;
+            while at(toks, sig, k, '[') {
+                k = match_group(toks, sig, k, '[', ']');
+            }
+            let method = ident_at(toks, sig, k + 1)
+                .filter(|_| at(toks, sig, k, '.') && at(toks, sig, k + 2, '('));
+            let mutation = method.filter(|m| SHARED_MUTATION_METHODS.contains(m));
 
-fn capture_msg(name: &str, closure_line: u32, line: u32, how: &str) -> String {
-    format!(
-        "`{name}` is captured by the `move ||` job closure at line {closure_line} and {how} at \
-         line {line}: shared mutable state in a submitted job makes the outcome depend on worker \
-         interleaving; return a value and reduce by job index instead"
-    )
-}
-
-/// `dsan-escape`: captured state reached through a shared-access method
-/// from a job thunk must be *dsan-bound* — declared through the
-/// `parpool::dsan` instrumented accessors — so the determinism sanitizer
-/// sees every access. Binding is resolved by name across the whole file
-/// (no scope resolution): a `let` whose initializer mentions `dsan`, or a
-/// `name: [&]dsan::…` type ascription, binds that name everywhere. The
-/// over-approximation only suppresses findings, mirroring the local
-/// flattening in [`check_job_thunk`].
-pub fn check_dsan_escape(
-    ast: &Ast,
-    toks: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    let bound = dsan_bound_names(ast, toks);
-    for f in &ast.fns {
-        for c in &f.closures {
-            walk_dsan(c, ast, toks, &bound, in_test, push);
-        }
-    }
-}
-
-fn walk_dsan(
-    c: &Closure,
-    ast: &Ast,
-    toks: &[Token],
-    bound: &BTreeSet<&str>,
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    if c.is_move && c.nullary {
-        check_dsan_thunk(c, ast, toks, bound, in_test, push);
-    }
-    for nested in &c.closures {
-        walk_dsan(nested, ast, toks, bound, in_test, push);
-    }
-}
-
-/// The thunk walk for `dsan-escape`: same skips as [`check_job_thunk`]
-/// (method names, path segments, locals, test code) plus dsan-bound
-/// names; flags `.m(…)` for `m` in the mutation *or* read access set.
-fn check_dsan_thunk(
-    c: &Closure,
-    ast: &Ast,
-    toks: &[Token],
-    bound: &BTreeSet<&str>,
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    let mut locals: BTreeSet<&str> = BTreeSet::new();
-    collect_locals(c, &mut locals);
-
-    let sig = &ast.sig;
-    let (start, end) = c.body;
-    let mut j = start;
-    while j < end.min(sig.len()) {
-        let Some(name) = ident_at(toks, sig, j) else {
-            j += 1;
-            continue;
-        };
-        let line = toks[sig[j]].line;
-        let after_dot = j > 0 && (at(toks, sig, j - 1, '.') || at(toks, sig, j - 1, ':'));
-        let before_path = at(toks, sig, j + 1, ':') && at(toks, sig, j + 2, ':');
-        if after_dot
-            || before_path
-            || locals.contains(name)
-            || bound.contains(name)
-            || in_test(line)
-        {
-            j += 1;
-            continue;
-        }
-
-        let mut k = j + 1;
-        while at(toks, sig, k, '[') {
-            k = skip_group(toks, sig, k, '[', ']');
-        }
-        if at(toks, sig, k, '.') {
-            if let Some(m) = ident_at(toks, sig, k + 1) {
-                if (SHARED_MUTATION_METHODS.contains(&m) || SHARED_READ_METHODS.contains(&m))
-                    && at(toks, sig, k + 2, '(')
-                {
-                    push(
-                        "dsan-escape",
-                        line,
-                        format!(
-                            "`{name}` is captured by the `move ||` job closure at line {} and \
-                             reached via `.{m}(…)` at line {line} without dsan instrumentation: \
-                             shared state touched from pool jobs must flow through `dsan::Cell` / \
-                             `dsan::AtomicCell` / `dsan::Shadow` so the determinism sanitizer can \
-                             order-check the access; wrap the binding, or `allow` with a reason \
-                             explaining why the access cannot race",
-                            c.line
-                        ),
-                    );
-                }
+            let borrowed_mut =
+                j >= 2 && ident_at(toks, sig, j - 1) == Some("mut") && at(toks, sig, j - 2, '&');
+            let how = if borrowed_mut {
+                Some("borrowed `&mut`".to_string())
+            } else if let Some(m) = mutation {
+                Some(format!("mutated via `.{m}(…)`"))
+            } else if !is_assignment(toks, sig, k) {
+                None
+            } else if j > 0 && at(toks, sig, j - 1, '*') {
+                Some("deref-assigned (`*… = …`)".to_string())
+            } else {
+                Some("assigned".to_string())
+            };
+            if let Some(how) = how {
+                push(
+                    "capture-mut",
+                    line,
+                    format!(
+                        "`{name}` is captured by the `move ||` job closure at line {} and {how} \
+                         at line {line}: shared mutable state in a submitted job makes the outcome \
+                         depend on worker interleaving; return a value and reduce by job index \
+                         instead",
+                        c.line
+                    ),
+                );
+            }
+            if let Some(m) = method.filter(|m| {
+                !bound.contains(name) && (mutation.is_some() || SHARED_READ_METHODS.contains(m))
+            }) {
+                push(
+                    "dsan-escape",
+                    line,
+                    format!(
+                        "`{name}` is captured by the `move ||` job closure at line {} and \
+                         reached via `.{m}(…)` at line {line} without dsan instrumentation: \
+                         shared state touched from pool jobs must flow through `dsan::Cell` / \
+                         `dsan::AtomicCell` / `dsan::Shadow` so the determinism sanitizer can \
+                         order-check the access; wrap the binding, or `allow` with a reason \
+                         explaining why the access cannot race",
+                        c.line
+                    ),
+                );
             }
         }
-        j += 1;
     }
 }
 
-/// Names declared through the dsan accessors anywhere in the file: `let`
-/// bindings whose initializer mentions `dsan`, and `name: [&]dsan::…`
-/// type ascriptions (fn params, struct fields, annotated lets).
-fn dsan_bound_names<'a>(ast: &'a Ast, toks: &'a [Token]) -> BTreeSet<&'a str> {
+/// Names declared through the `parpool::dsan` instrumented accessors
+/// anywhere in the file — resolved by name, with no scope resolution, so
+/// a binding covers that name everywhere (the over-approximation only
+/// suppresses findings): `let` bindings whose initializer mentions `dsan`
+/// (`lets`: every fn's and closure's), and `name: [&]dsan::…` type
+/// ascriptions (fn params, struct fields, annotated lets).
+pub(crate) fn dsan_bound_names<'a>(
+    lets: impl Iterator<Item = &'a LetBinding>,
+    toks: &'a [Token],
+    sig: &[usize],
+) -> BTreeSet<&'a str> {
     let mut bound = BTreeSet::new();
-    let sig = &ast.sig;
-    for f in &ast.fns {
-        scan_dsan_lets(&f.lets, &f.closures, sig, toks, &mut bound);
+    for l in lets {
+        let (s, e) = l.init;
+        if (s..e.min(sig.len())).any(|j| ident_at(toks, sig, j) == Some("dsan")) {
+            bound.extend(l.names.iter().map(String::as_str));
+        }
     }
     // `name : dsan :: …` / `name : & dsan :: …` ascriptions.
     for j in 0..sig.len() {
@@ -342,29 +225,9 @@ fn dsan_bound_names<'a>(ast: &'a Ast, toks: &'a [Token]) -> BTreeSet<&'a str> {
     bound
 }
 
-fn scan_dsan_lets<'a>(
-    lets: &'a [LetBinding],
-    closures: &'a [Closure],
-    sig: &[usize],
-    toks: &'a [Token],
-    bound: &mut BTreeSet<&'a str>,
-) {
-    for l in lets {
-        let (s, e) = l.init;
-        if (s..e.min(sig.len())).any(|j| ident_at(toks, sig, j) == Some("dsan")) {
-            for n in &l.names {
-                bound.insert(n.as_str());
-            }
-        }
-    }
-    for c in closures {
-        scan_dsan_lets(&c.lets, &c.closures, sig, toks, bound);
-    }
-}
-
 /// Assignment detection at `k` (first token after the ident/index
 /// groups): `=` (not `==`), or a compound `+=`-family operator.
-fn is_assignment(toks: &[Token], sig: &[usize], _j: usize, k: usize) -> bool {
+fn is_assignment(toks: &[Token], sig: &[usize], k: usize) -> bool {
     let Some(&t) = sig.get(k) else { return false };
     match toks[t].kind {
         TokenKind::Punct('=') => !at(toks, sig, k + 1, '='),
@@ -377,20 +240,6 @@ fn is_assignment(toks: &[Token], sig: &[usize], _j: usize, k: usize) -> bool {
             sig.get(k + 1).is_some_and(|&n| toks[n].kind == c) && at(toks, sig, k + 2, '=')
         }
         _ => false,
-    }
-}
-
-fn collect_locals<'a>(c: &'a Closure, out: &mut BTreeSet<&'a str>) {
-    for p in &c.params {
-        out.insert(p);
-    }
-    for l in &c.lets {
-        for n in &l.names {
-            out.insert(n);
-        }
-    }
-    for nested in &c.closures {
-        collect_locals(nested, out);
     }
 }
 
@@ -542,41 +391,23 @@ fn skip_group_back<'t>(
     }
 }
 
-/// Skips forward over the balanced group opening at `open`, returning the
-/// index just past the closing token.
-fn skip_group(toks: &[Token], sig: &[usize], open: usize, oc: char, cc: char) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < sig.len() {
-        match toks[sig[j]].kind {
-            TokenKind::Punct(c) if c == oc => depth += 1,
-            TokenKind::Punct(c) if c == cc => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parse::parse;
+
+    /// The findings of `rule` from the per-file pass at a capture-crate
+    /// path.
+    fn run_rule(rule: &str, src: &str) -> Vec<(String, u32, String)> {
+        crate::lint_source("crates/parpool/src/fixture.rs", src)
+            .into_iter()
+            .filter(|d| d.rule == rule)
+            .map(|d| (d.rule, d.line, d.message))
+            .collect()
+    }
 
     fn run_captures(src: &str) -> Vec<(String, u32, String)> {
-        let tokens = lex(src);
-        let ast = parse(&tokens);
-        let mut out = Vec::new();
-        check_captures(&ast, &tokens.all, &|_| false, &mut |rule, line, msg| {
-            out.push((rule.to_string(), line, msg))
-        });
-        out
+        run_rule("capture-mut", src)
     }
 
     fn run_reductions(src: &str) -> Vec<(String, u32, String)> {
@@ -697,13 +528,7 @@ mod tests {
     }
 
     fn run_dsan(src: &str) -> Vec<(String, u32, String)> {
-        let tokens = lex(src);
-        let ast = parse(&tokens);
-        let mut out = Vec::new();
-        check_dsan_escape(&ast, &tokens.all, &|_| false, &mut |rule, line, msg| {
-            out.push((rule.to_string(), line, msg))
-        });
-        out
+        run_rule("dsan-escape", src)
     }
 
     #[test]

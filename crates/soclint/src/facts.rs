@@ -1,36 +1,44 @@
-//! Pass 1b: per-file **facts** for the workspace call-graph analyses.
+//! The per-file pass: [`analyze_file`] lexes and parses a file once and
+//! produces everything soclint knows about it — the single-file
+//! diagnostics and the **facts** the workspace call-graph analyses in
+//! [`crate::graph`] consume. The result depends only on the path and the
+//! contents, so [`crate::cache`] stores it by content fingerprint while
+//! the cheap global fixpoints re-run every time.
 //!
-//! [`crate::rules::lint_source`] checks one file in isolation; the v3
-//! interprocedural rules (`cross-taint`, `cancel-coverage`, `panic-reach`)
-//! need a whole-workspace view. This module extracts, from one file,
-//! everything those rules consume — so the expensive per-file work can be
-//! cached by content fingerprint while the cheap global fixpoints in
-//! [`crate::graph`] re-run every time:
+//! Over the one token stream and tree, the pass runs:
 //!
-//! - every function with its **call sites** (free, path-qualified, and
-//!   method calls, with receiver names for the resolution heuristics);
-//! - every `loop`/`while`/`for` with the call sites inside its body and
-//!   whether the body polls `Deadline::expired` / `CancelToken` directly;
-//! - the first **panic site** per function (`unwrap`/`expect`,
-//!   `panic!`-family macros, unguarded `expr[…]` indexing);
-//! - per-parameter **sink summaries** (parameter reaches raw arithmetic or
-//!   an unguarded index locally) plus **argument flows**: which call-site
-//!   argument positions carry a parameter onward or carry same-file
-//!   source taint (`parse`/`read_*`), with the rendered chain;
-//! - `use` imports (crate hints for call resolution) and the file's
-//!   suppression table for the workspace rules.
+//! - the token-pattern rules ([`crate::rules`]);
+//! - one **job-thunk walk** per closure tree ([`crate::captures`]:
+//!   `capture-mut` and `dsan-escape`, capture crates only);
+//! - one **taint walk** per `fn` (dataflow in [`crate::taint`]). It
+//!   reports source-rooted sinks as `taint-arith`/`taint-index` in the
+//!   untrusted-parser scope, and extracts the fn's facts:
+//!   - every **call site** (free, path-qualified, and method calls, with
+//!     receiver names for the resolution heuristics);
+//!   - every `loop`/`while`/`for` with the call sites inside its body and
+//!     whether the body polls `Deadline::expired` / `CancelToken`
+//!     directly;
+//!   - the first **panic site** (`unwrap`/`expect`, `panic!`-family
+//!     macros, unguarded `expr[…]` indexing — the `panic-path` /
+//!     `unchecked-index` predicates);
+//!   - per-parameter **sink summaries** (parameter reaches raw arithmetic
+//!     or an unguarded index locally) plus **argument flows**: which
+//!     call-site argument positions carry a parameter onward or carry
+//!     same-file source taint (`parse`/`read_*`), with the rendered chain.
 //!
-//! Facts exclude test-span code entirely, so the global analyses never
-//! need span information. Extraction reuses the pass-1 tree and the v2
-//! taint helpers; like them it never panics on garbage input.
+//! The file's `use` imports (crate hints for call resolution) and its
+//! suppression table complete the facts. Facts exclude test-span code
+//! entirely, so the global analyses never need span information. Like the
+//! front end, the pass never panics on garbage input.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use crate::lexer::{lex, Token, TokenKind, Tokens};
-use crate::parse::{match_group, parse, Ast, FnItem, LetBinding};
-use crate::rules::{lint_tokens, parse_allows, Diagnostic, WORKSPACE_RULE_IDS};
-use crate::scope::{classify, test_spans};
-use crate::taint;
+use crate::captures;
+use crate::lexer::{at, ident_at, lex, Token, TokenKind};
+use crate::parse::{closure_tree, match_group, parse, Closure, FnItem, LetBinding};
+use crate::rules::{check_tokens, is_index_expr, panic_site, parse_allows, Allows, Diagnostic};
+use crate::scope::{classify, test_spans, TestSpans};
+use crate::taint::{self, FlowState, Root, Sink};
 
 /// Method names whose call counts as polling the cancellation contract
 /// (`robust::Deadline::expired`, `CancelToken::is_cancelled` /
@@ -154,22 +162,6 @@ pub struct FnFact {
     pub arg_flows: Vec<ArgFlow>,
 }
 
-/// Suppression table for the workspace-level rules only.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GlobalAllows {
-    /// Rules suppressed file-wide.
-    pub file_wide: BTreeSet<String>,
-    /// Rule → suppressed lines.
-    pub lines: BTreeMap<String, BTreeSet<u32>>,
-}
-
-impl GlobalAllows {
-    /// True when `rule` is suppressed on `line`.
-    pub fn permits(&self, rule: &str, line: u32) -> bool {
-        self.file_wide.contains(rule) || self.lines.get(rule).is_some_and(|l| l.contains(&line))
-    }
-}
-
 /// All facts for one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileFacts {
@@ -180,8 +172,8 @@ pub struct FileFacts {
     /// `use` imports as (root segment, leaf name) pairs — crate hints for
     /// call resolution.
     pub uses: Vec<(String, String)>,
-    /// Suppressions for the workspace rules.
-    pub allows: GlobalAllows,
+    /// The file's suppressions; the workspace rules consult them.
+    pub allows: Allows,
 }
 
 /// One file's complete per-file analysis: the local diagnostics plus the
@@ -198,68 +190,105 @@ pub struct FileAnalysis {
     pub facts: FileFacts,
 }
 
-/// Runs the full per-file analysis: lex once, then local rules and fact
-/// extraction over the same token stream.
+/// The per-file pass: lex, classify, find test spans and allows, parse
+/// and summarize same-file sources once each, then run every per-file
+/// rule and extract the facts over that one result.
 pub fn analyze_file(path: &str, source: &str) -> FileAnalysis {
     let tokens = lex(source);
-    let (diags, allowed) = lint_tokens(path, &tokens);
-    FileAnalysis {
-        diags,
-        allowed,
-        facts: extract_tokens(path, &tokens),
-    }
-}
-
-/// Extracts facts from one file's source.
-pub fn extract(path: &str, source: &str) -> FileFacts {
-    extract_tokens(path, &lex(source))
-}
-
-/// [`extract`] over pre-lexed tokens.
-pub(crate) fn extract_tokens(path: &str, tokens: &Tokens) -> FileFacts {
-    let scope = classify(path);
-    let spans = test_spans(tokens);
-    let sig = tokens.significant();
     let toks = &tokens.all;
+    let scope = classify(path);
+    let spans = test_spans(&tokens);
+    let (allows, allow_errors) = parse_allows(&tokens);
+    let ast = parse(&tokens);
+    let sig = &ast.sig;
 
-    let raw = parse_allows(tokens);
-    let mut allows = GlobalAllows::default();
-    for rule in WORKSPACE_RULE_IDS {
-        if raw.file_wide.contains(*rule) {
-            allows.file_wide.insert((*rule).to_string());
+    let mut diags = Vec::new();
+    let mut allowed = Vec::new();
+    let mut push = |rule: &str, line: u32, message: String| {
+        let d = Diagnostic {
+            file: path.to_string(),
+            line,
+            rule: rule.to_string(),
+            message,
+        };
+        if allows.permits(rule, line) {
+            allowed.push(d);
+        } else {
+            diags.push(d);
         }
-        if let Some(lines) = raw.lines.get(*rule) {
-            allows.lines.insert((*rule).to_string(), lines.clone());
-        }
+    };
+    for (line, message) in allow_errors {
+        push("allow-syntax", line, message);
     }
+    check_tokens(&scope, toks, sig, &spans, &mut push);
 
     let mut fns = Vec::new();
     if !scope.all_test {
-        let ast = parse(tokens);
-        let sources = taint::derived_sources(&ast, toks);
+        let cx = FileCx {
+            toks,
+            sig,
+            spans: &spans,
+            sources: taint::derived_sources(&ast, toks),
+            report_taint: scope.untrusted_parser,
+        };
+        // Per fn: its closure tree, and its `let`s merged with its
+        // closures' in source order.
+        let trees: Vec<(Vec<&Closure>, Vec<&LetBinding>)> = ast
+            .fns
+            .iter()
+            .map(|f| {
+                let tree = closure_tree(&f.closures);
+                let mut lets: Vec<_> = f
+                    .lets
+                    .iter()
+                    .chain(tree.iter().flat_map(|c| &c.lets))
+                    .collect();
+                lets.sort_by_key(|l| l.init.0);
+                (tree, lets)
+            })
+            .collect();
+        let bound = if scope.capture_checked {
+            let lets = trees.iter().flat_map(|(_, lets)| lets.iter().copied());
+            captures::dsan_bound_names(lets, toks, sig)
+        } else {
+            BTreeSet::new()
+        };
         let in_test = |line: u32| spans.contains(line);
-        for f in &ast.fns {
+        for (f, (tree, lets)) in ast.fns.iter().zip(&trees) {
+            // A fn inside a test span lies wholly in test code: no rule
+            // applies and it contributes no facts.
             if in_test(f.line) {
                 continue;
             }
-            fns.push(extract_fn(f, &ast, toks, &sources, &in_test));
+            if scope.capture_checked {
+                captures::check_thunks(tree, toks, sig, &bound, &in_test, &mut push);
+            }
+            fns.push(walk_fn(f, lets, &cx, &mut push));
         }
     }
-
-    FileFacts {
-        path: path.to_string(),
-        fns,
-        uses: extract_uses(toks, &sig),
-        allows,
+    diags.sort();
+    allowed.sort();
+    FileAnalysis {
+        diags,
+        allowed,
+        facts: FileFacts {
+            path: path.to_string(),
+            fns,
+            uses: extract_uses(toks, sig),
+            allows,
+        },
     }
 }
 
-/// Taint state for the facts walk: where the value came from.
-#[derive(Debug, Clone)]
-struct FTaint {
-    /// `Some(param)` for parameter-rooted taint, `None` for source taint.
-    root: Option<String>,
-    chain: String,
+/// What every fn walk in one file shares.
+struct FileCx<'a> {
+    toks: &'a [Token],
+    sig: &'a [usize],
+    spans: &'a TestSpans,
+    /// Builtin plus same-file derived source names.
+    sources: BTreeSet<String>,
+    /// Source-rooted sinks report `taint-*` (untrusted-parser scope).
+    report_taint: bool,
 }
 
 /// Control-flow keywords that can directly precede `(` without being a
@@ -284,336 +313,134 @@ fn is_ctrl_keyword(name: &str) -> bool {
     )
 }
 
-/// Keeps at most two links of a chain so messages stay readable.
-fn truncate_chain(chain: &str) -> String {
-    let mut parts: Vec<&str> = chain.split(" ← ").collect();
-    if parts.len() > 2 {
-        parts.truncate(2);
-        format!("{} ← …", parts.join(" ← "))
-    } else {
-        chain.to_string()
-    }
-}
-
-/// `let` bindings of the function **and** its closures, flattened in
-/// source order — the facts walk is linear over the whole body range, so
-/// closure-local bindings must participate.
-fn flattened_lets(f: &FnItem) -> Vec<&LetBinding> {
-    fn rec<'a>(c: &'a crate::parse::Closure, out: &mut Vec<&'a LetBinding>) {
-        out.extend(c.lets.iter());
-        for n in &c.closures {
-            rec(n, out);
-        }
-    }
-    let mut out: Vec<&LetBinding> = f.lets.iter().collect();
-    for c in &f.closures {
-        rec(c, &mut out);
-    }
-    out.sort_by_key(|l| l.init.0);
-    out
-}
-
-/// Taint for a `let` initializer under the facts walk. Mirrors the v2
-/// rule: a sanitizer call anywhere in the initializer cleans the binding;
-/// otherwise the first source call or tainted ident propagates.
-fn init_taint(
-    l: &LetBinding,
-    toks: &[Token],
-    sig: &[usize],
-    sources: &BTreeSet<String>,
-    tainted: &BTreeMap<String, FTaint>,
-) -> Option<FTaint> {
-    let (start, end) = l.init;
-    // Source calls outrank tainted idents: `s.parse()` yields a *parsed*
-    // value, so the binding's root is the source, not the receiver.
-    let mut source: Option<FTaint> = None;
-    let mut ident: Option<FTaint> = None;
-    for j in start..end.min(sig.len()) {
-        let Some(name) = taint::ident_at(toks, sig, j) else {
-            continue;
-        };
-        if taint::is_call(toks, sig, j) {
-            if taint::is_sanitizer_name(name) {
-                return None;
-            }
-            if (taint::is_source_name(name) || sources.contains(name)) && source.is_none() {
-                source = Some(FTaint {
-                    root: None,
-                    chain: format!("← `{name}(…)` at line {}", toks[sig[j]].line),
-                });
-            }
-        } else if let Some(t) = tainted.get(name) {
-            if ident.is_none() {
-                ident = Some(FTaint {
-                    root: t.root.clone(),
-                    chain: format!("← `{name}` {}", truncate_chain(&t.chain)),
-                });
-            }
-        }
-    }
-    source.or(ident)
-}
-
-/// The per-function facts walk: one linear pass over the body range
-/// (closures included — their calls and sinks are attributed to the
-/// enclosing function, which is exactly what the job-thunk analyses
-/// want).
-fn extract_fn(
+/// The one taint walk per fn: a linear pass over the body range, binding
+/// `lets` (the fn's and its closures', in source order) as it passes
+/// them. Closures are included — their calls and sinks are attributed to
+/// the enclosing fn, which is exactly what the job-thunk analyses want.
+fn walk_fn(
     f: &FnItem,
-    ast: &Ast,
-    toks: &[Token],
-    sources: &BTreeSet<String>,
-    in_test: &dyn Fn(u32) -> bool,
+    lets: &[&LetBinding],
+    cx: &FileCx,
+    push: &mut dyn FnMut(&str, u32, String),
 ) -> FnFact {
-    let sig = &ast.sig;
+    let (toks, sig) = (cx.toks, cx.sig);
     let (start, end) = f.body;
     let end = end.min(sig.len());
 
-    let mut tainted: BTreeMap<String, FTaint> = BTreeMap::new();
-    for p in &f.params {
-        tainted.insert(
-            p.clone(),
-            FTaint {
-                root: Some(p.clone()),
-                chain: format!("parameter `{p}`"),
-            },
-        );
-    }
-    let mut guarded: BTreeSet<String> = BTreeSet::new();
-
+    let mut flow = FlowState::new(&f.params);
     let mut calls: Vec<CallFact> = Vec::new();
     let mut call_sigs: Vec<usize> = Vec::new();
     let mut loop_heads: Vec<(u32, LoopKind, usize, usize)> = Vec::new(); // line, kind, body sig range
     let mut polls = false;
     let mut first_explicit: Option<PanicFact> = None;
     let mut first_index: Option<PanicFact> = None;
-    let mut sinks: BTreeMap<String, (Option<u32>, Option<u32>)> = BTreeMap::new();
     let mut arg_flows: Vec<ArgFlow> = Vec::new();
 
-    let all_lets = flattened_lets(f);
-    let mut lets = all_lets.iter().peekable();
+    let mut lets = lets.iter().peekable();
+    // Source-rooted hits report; parameter-rooted ones land in `flow.sinks`.
+    let mut reach = |flow: &mut FlowState, a: &str, sink: &Sink, line: u32| {
+        if let Some(message) = flow.reach(a, sink, line, cx.report_taint) {
+            push(sink.rule(), line, message);
+        }
+    };
 
-    let mut j = start;
-    while j < end {
-        while let Some(l) = lets.peek() {
-            if l.init.1 <= j {
-                let l: &LetBinding = lets.next().expect("peeked");
-                if let Some(t) = init_taint(l, toks, sig, sources, &tainted) {
-                    for name in &l.names {
-                        tainted.insert(name.clone(), t.clone());
-                        guarded.remove(name);
-                    }
-                } else {
-                    for name in &l.names {
-                        tainted.remove(name);
-                    }
-                }
-            } else {
-                break;
-            }
+    for j in start..end {
+        while let Some(l) = lets.next_if(|l| l.init.1 <= j) {
+            flow.bind(l, toks, sig, &cx.sources);
         }
 
         let t = &toks[sig[j]];
         let line = t.line;
-        let test_line = in_test(line);
+        let test_line = cx.spans.contains(line);
+        if let TokenKind::Ident(name) = &t.kind {
+            // Guard recognition: a comparison adjacent to the binding
+            // (`n <= cap`, `cap > n`, `n == 0`), or a checked lookup
+            // (`get(n)`, `n.min(…)`) guarding its arguments.
+            if taint::is_comparison_neighbor(toks, sig, j) {
+                flow.guarded.insert(name.clone());
+            }
+            if matches!(name.as_str(), "get" | "min" | "max") && at(toks, sig, j + 1, '(') {
+                flow.guarded
+                    .extend(taint::idents_in_group(toks, sig, j + 1));
+            }
+        }
+        if test_line {
+            continue;
+        }
         match &t.kind {
             TokenKind::Ident(name) => {
-                if taint::is_comparison_neighbor(toks, sig, j) {
-                    guarded.insert(name.clone());
-                }
-                if (name == "get" || name == "min" || name == "max")
-                    && taint::at(toks, sig, j + 1, '(')
-                {
-                    for a in taint::idents_in_group(toks, sig, j + 1) {
-                        guarded.insert(a);
+                let kind = match name.as_str() {
+                    "loop" => Some(LoopKind::Loop),
+                    "while" => Some(LoopKind::While),
+                    // `for<'a>` higher-ranked bounds are not loops.
+                    "for" if !at(toks, sig, j + 1, '<') => Some(LoopKind::For),
+                    _ => None,
+                };
+                if let Some(kind) = kind {
+                    if let Some((bs, be)) = loop_body(toks, sig, j, end) {
+                        loop_heads.push((line, kind, bs, be));
                     }
                 }
-                // Loop statements.
-                if !test_line {
-                    let kind = match name.as_str() {
-                        "loop" => Some(LoopKind::Loop),
-                        "while" => Some(LoopKind::While),
-                        // `for<'a>` higher-ranked bounds are not loops.
-                        "for" if !taint::at(toks, sig, j + 1, '<') => Some(LoopKind::For),
-                        _ => None,
-                    };
-                    if let Some(kind) = kind {
-                        if let Some((bs, be)) = loop_body(toks, sig, j, end) {
-                            loop_heads.push((line, kind, bs, be));
-                        }
-                    }
-                }
-                // Cancellation polls.
-                if POLL_NAMES.contains(&name.as_str()) && taint::is_call(toks, sig, j) && !test_line
-                {
+                if POLL_NAMES.contains(&name.as_str()) && taint::is_call(toks, sig, j) {
                     polls = true;
                 }
-                // Panic sites (explicit).
-                if !test_line && first_explicit.is_none() {
-                    const PANIC_METHODS: &[&str] =
-                        &["unwrap", "expect", "unwrap_err", "expect_err"];
-                    const PANIC_MACROS: &[&str] =
-                        &["panic", "unreachable", "todo", "unimplemented"];
-                    if PANIC_METHODS.contains(&name.as_str())
-                        && j > 0
-                        && toks[sig[j - 1]].is_punct('.')
-                        && taint::at(toks, sig, j + 1, '(')
-                    {
-                        first_explicit = Some(PanicFact {
-                            line,
-                            what: format!("`.{name}()`"),
-                        });
-                    }
-                    if PANIC_MACROS.contains(&name.as_str()) && taint::at(toks, sig, j + 1, '!') {
-                        first_explicit = Some(PanicFact {
-                            line,
-                            what: format!("`{name}!`"),
-                        });
-                    }
+                if first_explicit.is_none() {
+                    first_explicit =
+                        panic_site(toks, sig, j).map(|(what, _)| PanicFact { line, what });
                 }
-                // Slice call sinks for the parameter summaries.
-                if taint::SLICE_SINKS.contains(&name.as_str())
-                    && taint::at(toks, sig, j + 1, '(')
-                    && !test_line
-                {
+                if taint::SLICE_SINKS.contains(&name.as_str()) && at(toks, sig, j + 1, '(') {
                     for a in taint::idents_in_group(toks, sig, j + 1) {
-                        if let Some(ft) = tainted.get(&a) {
-                            if ft.root.is_some() && !guarded.contains(&a) {
-                                let root = ft.root.clone().unwrap_or_default();
-                                let e = sinks.entry(root).or_insert((None, None));
-                                e.1.get_or_insert(line);
-                            }
-                        }
+                        reach(&mut flow, &a, &Sink::Slice(name), line);
                     }
                 }
-                // Call sites.
-                if taint::is_call(toks, sig, j)
-                    && !test_line
-                    && !is_ctrl_keyword(name)
-                    && !name.starts_with(char::is_uppercase)
+                if let Some(open) = taint::call_open(toks, sig, j)
+                    .filter(|_| !is_ctrl_keyword(name) && !name.starts_with(char::is_uppercase))
                 {
-                    let method = j > 0 && toks[sig[j - 1]].is_punct('.');
-                    let mut qual = None;
-                    let mut recv = None;
-                    if method {
-                        // `recv.name(` — only a plain-ident receiver that is
-                        // not itself a call result.
-                        if j >= 2 {
-                            if let TokenKind::Ident(r) = &toks[sig[j - 2]].kind {
-                                let chained = j >= 3 && toks[sig[j - 3]].is_punct('.');
-                                if !chained {
-                                    recv = Some(r.clone());
-                                }
-                            }
-                        }
-                    } else if j >= 3
-                        && toks[sig[j - 1]].is_punct(':')
-                        && toks[sig[j - 2]].is_punct(':')
-                    {
-                        if let TokenKind::Ident(q) = &toks[sig[j - 3]].kind {
-                            qual = Some(q.clone());
-                        }
-                    }
                     let ci = calls.len() as u32;
                     // Arguments of a sanitizer call are sanitized by
                     // definition — no flow to record.
                     if !taint::is_sanitizer_name(name) {
-                        if let Some(open) = call_open(toks, sig, j) {
-                            scan_call_args(
-                                toks,
-                                sig,
-                                open,
-                                ci,
-                                sources,
-                                &tainted,
-                                &guarded,
-                                &mut arg_flows,
-                            );
-                        }
+                        scan_call_args(toks, sig, open, ci, &cx.sources, &flow, &mut arg_flows);
                     }
-                    calls.push(CallFact {
-                        line,
-                        name: name.clone(),
-                        qual,
-                        method,
-                        recv,
-                    });
+                    calls.push(call_fact(toks, sig, j, name));
                     call_sigs.push(j);
                 }
             }
-            TokenKind::Punct('[') if !test_line && taint::is_index_expr(toks, sig, j) => {
-                if first_index.is_none() {
-                    first_index = Some(PanicFact {
-                        line,
-                        what: "slice indexing".to_string(),
-                    });
-                }
+            TokenKind::Punct('[') if is_index_expr(toks, sig, j) => {
+                first_index.get_or_insert_with(|| PanicFact {
+                    line,
+                    what: "slice indexing".to_string(),
+                });
                 for a in taint::idents_in_bracket_group(toks, sig, j) {
-                    if let Some(ft) = tainted.get(&a) {
-                        if ft.root.is_some() && !guarded.contains(&a) {
-                            let root = ft.root.clone().unwrap_or_default();
-                            let e = sinks.entry(root).or_insert((None, None));
-                            e.1.get_or_insert(line);
-                        }
-                    }
+                    reach(&mut flow, &a, &Sink::Index, line);
                 }
             }
-            TokenKind::Punct('+' | '-' | '*')
-                if !test_line && taint::is_binary_arith(toks, sig, j) =>
-            {
-                for a in [
-                    taint::ident_at(toks, sig, j.wrapping_sub(1)),
+            TokenKind::Punct(op @ ('+' | '-' | '*')) if taint::is_binary_arith(toks, sig, j) => {
+                let operands = [
+                    ident_at(toks, sig, j.wrapping_sub(1)),
                     taint::arith_rhs(toks, sig, j),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if let Some(ft) = tainted.get(a) {
-                        if let Some(root) = &ft.root {
-                            let e = sinks.entry(root.clone()).or_insert((None, None));
-                            e.0.get_or_insert(line);
-                        }
-                    }
+                ];
+                for a in operands.into_iter().flatten() {
+                    reach(&mut flow, a, &Sink::Arith(*op), line);
                 }
             }
             _ => {}
         }
-        j += 1;
     }
 
     // Associate loops with the calls and polls inside their body ranges.
-    let mut loops = Vec::new();
-    for (line, kind, bs, be) in loop_heads {
-        let in_body: Vec<u32> = call_sigs
-            .iter()
-            .enumerate()
-            .filter(|(_, &cs)| cs >= bs && cs < be)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mut body_polls = false;
-        for k in bs..be.min(sig.len()) {
-            if let TokenKind::Ident(name) = &toks[sig[k]].kind {
-                if POLL_NAMES.contains(&name.as_str()) && taint::is_call(toks, sig, k) {
-                    body_polls = true;
-                    break;
-                }
-            }
-        }
-        loops.push(LoopFact {
+    let loops = loop_heads
+        .into_iter()
+        .map(|(line, kind, bs, be)| LoopFact {
             line,
             kind,
-            polls: body_polls,
-            calls: in_body,
-        });
-    }
-
-    let param_sinks = sinks
-        .into_iter()
-        .filter(|(p, _)| f.params.contains(p))
-        .map(|(param, (arith, index))| ParamSink {
-            param,
-            arith,
-            index,
+            polls: (bs..be.min(sig.len())).any(|k| {
+                ident_at(toks, sig, k).is_some_and(|name| POLL_NAMES.contains(&name))
+                    && taint::is_call(toks, sig, k)
+            }),
+            calls: (0..call_sigs.len() as u32)
+                .filter(|&i| (bs..be).contains(&call_sigs[i as usize]))
+                .collect(),
         })
         .collect();
 
@@ -625,8 +452,40 @@ fn extract_fn(
         panic: first_explicit.or(first_index),
         calls,
         loops,
-        param_sinks,
+        param_sinks: flow
+            .sinks
+            .into_iter()
+            .map(|(param, (arith, index))| ParamSink {
+                param,
+                arith,
+                index,
+            })
+            .collect(),
         arg_flows,
+    }
+}
+
+/// The call site whose callee name sits at sig index `j`.
+fn call_fact(toks: &[Token], sig: &[usize], j: usize, name: &str) -> CallFact {
+    let method = j > 0 && at(toks, sig, j - 1, '.');
+    let mut qual = None;
+    let mut recv = None;
+    if method {
+        // `recv.name(` — only a plain-ident receiver that is not itself a
+        // call result.
+        let chained = j >= 3 && at(toks, sig, j - 3, '.');
+        if j >= 2 && !chained {
+            recv = ident_at(toks, sig, j - 2).map(str::to_string);
+        }
+    } else if j >= 3 && at(toks, sig, j - 1, ':') && at(toks, sig, j - 2, ':') {
+        qual = ident_at(toks, sig, j - 3).map(str::to_string);
+    }
+    CallFact {
+        line: toks[sig[j]].line,
+        name: name.to_string(),
+        qual,
+        method,
+        recv,
     }
 }
 
@@ -657,117 +516,85 @@ fn loop_body(toks: &[Token], sig: &[usize], j: usize, end: usize) -> Option<(usi
     None
 }
 
-/// The sig index of the call's opening `(` for the callee name at `j`
-/// (stepping over a turbofish).
-fn call_open(toks: &[Token], sig: &[usize], j: usize) -> Option<usize> {
-    if taint::at(toks, sig, j + 1, '(') {
-        return Some(j + 1);
-    }
-    // `name::<…>(`
-    let mut depth = 0i32;
-    let mut k = j + 3;
-    while k < sig.len() {
-        match toks[sig[k]].kind {
-            TokenKind::Punct('<') => depth += 1,
-            TokenKind::Punct('>') => {
-                depth -= 1;
-                if depth == 0 {
-                    return taint::at(toks, sig, k + 1, '(').then_some(k + 1);
-                }
-            }
-            TokenKind::Punct(';') | TokenKind::Punct('{') => return None,
-            _ => {}
-        }
-        k += 1;
-    }
-    None
+/// One call argument as [`scan_call_args`] reads it.
+#[derive(Default)]
+struct ArgScan<'a> {
+    /// Chain of the first source call inside the argument.
+    source_call: Option<String>,
+    /// The first tainted ident inside the argument, with the root its
+    /// taint arrived by first.
+    ident: Option<(&'a str, &'a Root)>,
+    /// A sanitizer call wraps (part of) the argument.
+    sanitized: bool,
 }
 
 /// Scans the argument list opened at `open`, recording one [`ArgFlow`]
-/// per tainted, unsanitized argument position.
-#[allow(clippy::too_many_arguments)]
+/// per tainted, unsanitized argument position: a source call in the
+/// argument wins; otherwise the first tainted ident's first root.
 fn scan_call_args(
     toks: &[Token],
     sig: &[usize],
     open: usize,
     call: u32,
     sources: &BTreeSet<String>,
-    tainted: &BTreeMap<String, FTaint>,
-    guarded: &BTreeSet<String>,
+    flow: &FlowState,
     out: &mut Vec<ArgFlow>,
 ) {
+    let mut flush = |pos: u32, arg: ArgScan| {
+        let (root, chain, guarded) = match (arg.sanitized, arg.source_call, arg.ident) {
+            (false, Some(chain), _) => (None, chain, false),
+            (false, None, Some((name, root))) => (
+                root.param.clone(),
+                format!("`{name}` {}", taint::truncate_chain(&root.chain)),
+                flow.guarded.contains(name),
+            ),
+            _ => return,
+        };
+        out.push(ArgFlow {
+            call,
+            pos,
+            root,
+            chain,
+            guarded,
+        });
+    };
+    let mut arg = ArgScan::default();
     let mut pos = 0u32;
     let mut depth = 0i32;
-    let mut k = open;
-    // Per-argument scratch: first source call, first tainted ident,
-    // whether sanitized. Sources outrank idents (as in `init_taint`).
-    let mut found_source: Option<(FTaint, String)> = None;
-    let mut found_ident: Option<(FTaint, String)> = None;
-    let mut sanitized = false;
-    let mut flush = |pos: u32,
-                     found_source: &mut Option<(FTaint, String)>,
-                     found_ident: &mut Option<(FTaint, String)>,
-                     sanitized: &mut bool| {
-        let src = found_source.take();
-        let idt = found_ident.take();
-        if let Some((ft, ident)) = src.or(idt) {
-            if !*sanitized {
-                let chain = if ident.is_empty() {
-                    ft.chain.clone()
-                } else {
-                    format!("`{ident}` {}", truncate_chain(&ft.chain))
-                };
-                out.push(ArgFlow {
-                    call,
-                    pos,
-                    root: ft.root,
-                    chain,
-                    guarded: !ident.is_empty() && guarded.contains(&ident),
-                });
-            }
-        }
-        *sanitized = false;
-    };
-    while k < sig.len() {
+    for k in open..sig.len() {
         match &toks[sig[k]].kind {
             TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => depth += 1,
             TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => {
                 depth -= 1;
                 if depth == 0 {
-                    flush(pos, &mut found_source, &mut found_ident, &mut sanitized);
-                    return;
+                    break;
                 }
             }
             TokenKind::Punct(',') if depth == 1 => {
-                flush(pos, &mut found_source, &mut found_ident, &mut sanitized);
+                flush(pos, std::mem::take(&mut arg));
                 pos += 1;
             }
             TokenKind::Ident(name) if depth >= 1 => {
                 if taint::is_call(toks, sig, k) {
                     if taint::is_sanitizer_name(name) {
-                        sanitized = true;
-                    } else if (taint::is_source_name(name) || sources.contains(name))
-                        && found_source.is_none()
+                        arg.sanitized = true;
+                    } else if arg.source_call.is_none()
+                        && (taint::is_source_name(name) || sources.contains(name))
                     {
-                        found_source = Some((
-                            FTaint {
-                                root: None,
-                                chain: format!("`{name}(…)` at line {}", toks[sig[k]].line),
-                            },
-                            String::new(),
-                        ));
+                        arg.source_call =
+                            Some(format!("`{name}(…)` at line {}", toks[sig[k]].line));
                     }
-                } else if let Some(ft) = tainted.get(name) {
-                    if found_ident.is_none() {
-                        found_ident = Some((ft.clone(), name.clone()));
-                    }
+                } else if arg.ident.is_none() {
+                    arg.ident = flow
+                        .tainted
+                        .get_key_value(name.as_str())
+                        .and_then(|(n, t)| Some((n.as_str(), t.first()?)));
                 }
             }
             _ => {}
         }
-        k += 1;
     }
-    flush(pos, &mut found_source, &mut found_ident, &mut sanitized);
+    flush(pos, std::mem::take(&mut arg));
 }
 
 /// Extracts `use` imports as (root segment, leaf name) pairs. Renames
@@ -823,6 +650,10 @@ fn extract_uses(toks: &[Token], sig: &[usize]) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn extract(path: &str, src: &str) -> FileFacts {
+        analyze_file(path, src).facts
+    }
 
     fn facts(src: &str) -> FileFacts {
         extract("crates/tam/src/search.rs", src)

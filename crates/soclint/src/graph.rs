@@ -1075,10 +1075,13 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::facts::extract;
+    use crate::facts::analyze_file;
 
     fn ws(files: &[(&str, &str)]) -> Vec<FileFacts> {
-        files.iter().map(|(p, s)| extract(p, s)).collect()
+        files
+            .iter()
+            .map(|(p, s)| analyze_file(p, s).facts)
+            .collect()
     }
 
     fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {

@@ -77,6 +77,17 @@ impl Tokens {
     }
 }
 
+/// True when significant token `j` is the punctuation `c` (false past
+/// the end) — the one positional probe every matcher shares.
+pub(crate) fn at(toks: &[Token], sig: &[usize], j: usize, c: char) -> bool {
+    sig.get(j).is_some_and(|&t| toks[t].is_punct(c))
+}
+
+/// The identifier at significant token `j`, if any.
+pub(crate) fn ident_at<'t>(toks: &'t [Token], sig: &[usize], j: usize) -> Option<&'t str> {
+    sig.get(j).and_then(|&t| toks[t].ident())
+}
+
 /// Lexes `source` into a token stream. Unterminated constructs (string,
 /// block comment) consume to end of input rather than erroring: the linter
 /// must keep going on any file `rustc` would reject anyway.

@@ -12,19 +12,25 @@
 //! `#![forbid(unsafe_code)]` / `#![deny(missing_docs)]` header and
 //! test-only code is `#[cfg(test)]`-gated.
 //!
-//! v3 proves the contracts **across** files: [`facts`] extracts per-file
-//! call/loop/taint facts alongside the per-file rules, [`graph`] builds a
-//! workspace call graph over them and runs the three interprocedural
-//! analyses (`cross-taint`, `cancel-coverage`, `panic-reach`), [`cache`]
-//! keys the per-file stage by content fingerprint so warm runs only
-//! re-analyze edited files, and [`sarif`] renders findings for CI code
-//! scanning.
+//! A run has two stages:
+//!
+//! 1. **One pass per file** ([`facts::analyze_file`]): lex and parse
+//!    once, then run the token rules ([`rules`]), one job-thunk walk per
+//!    closure tree ([`captures`]) and one taint walk per `fn` ([`taint`]).
+//!    The same walks report the single-file diagnostics and extract the
+//!    file's call/loop/panic/taint facts. [`cache`] keys this stage by
+//!    content fingerprint, so warm runs only re-analyze edited files.
+//! 2. **The workspace graph** ([`graph`]): a call graph over every file's
+//!    facts runs the three interprocedural analyses (`cross-taint`,
+//!    `cancel-coverage`, `panic-reach`).
+//!
+//! [`sarif`] renders findings for CI code scanning.
 //!
 //! The tool is offline and dependency-free: a token-level lexer
-//! ([`lexer`]) plus a lightweight attribute/span scanner ([`scope`]) stand
-//! in for `syn`, which the build environment cannot fetch. Rules and the
-//! suppression protocol live in [`rules`]; run `cargo run -p soclint --
-//! --workspace` for the CI gate.
+//! ([`lexer`]), a lightweight attribute/span scanner ([`scope`]) and a
+//! recursive-descent tree ([`parse`]) stand in for `syn`, which the build
+//! environment cannot fetch. Rules and the suppression protocol live in
+//! [`rules`]; run `cargo run -p soclint -- --workspace` for the CI gate.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -317,8 +323,8 @@ mod tests {
 
     #[test]
     fn walker_skips_fixtures_and_target() {
-        // The real workspace test lives in tests/self_check.rs; here just
-        // exercise exclusion logic on this crate's own tree.
+        // The real workspace test is `shipped_workspace_is_violation_free`
+        // in tests/fixtures.rs; here just exercise the exclusion logic.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let diags = lint_workspace(&root).expect("workspace walk");
         assert!(

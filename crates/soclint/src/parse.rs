@@ -1,9 +1,10 @@
-//! Pass 1 of the flow-aware analyzer: a lightweight recursive-descent
-//! layer over the token stream from [`crate::lexer`].
+//! The tree the per-file pass ([`crate::facts::analyze_file`]) walks: a
+//! lightweight recursive-descent layer over the token stream from
+//! [`crate::lexer`].
 //!
 //! This is deliberately **not** a Rust parser. It recovers exactly the
-//! structure the flow rules in [`crate::taint`] and [`crate::captures`]
-//! need, and nothing more:
+//! structure the taint and job-thunk walks ([`crate::taint`],
+//! [`crate::captures`]) need, and nothing more:
 //!
 //! - every `fn` item (free, inherent, trait) with its name, parameter
 //!   binding names, and body token range;
@@ -17,13 +18,13 @@
 //!   parameter names, and the closure's own flattened `let` table.
 //!
 //! Everything else (types, generics, attributes, expressions) stays as
-//! raw token ranges into the significant-token stream, which the pass-2
-//! matchers scan linearly. Like the lexer, the parser never fails: on any
+//! raw token ranges into the significant-token stream, which the walks
+//! scan linearly. Like the lexer, the parser never fails: on any
 //! input — including byte garbage `rustc` would reject — it produces
 //! *some* tree with in-bounds spans (the property suite in
 //! `tests/lint_prop.rs` holds it to that).
 
-use crate::lexer::{Token, TokenKind, Tokens};
+use crate::lexer::{at, Token, TokenKind, Tokens};
 
 /// One parsed function item.
 #[derive(Debug)]
@@ -94,16 +95,16 @@ pub struct Ast {
     pub sig: Vec<usize>,
 }
 
-impl Ast {
-    /// All binding names local to `closure` (its parameters plus its
-    /// flattened `let` names) — the complement of its capture set.
-    pub fn closure_locals(closure: &Closure) -> Vec<&str> {
-        let mut out: Vec<&str> = closure.params.iter().map(String::as_str).collect();
-        for l in &closure.lets {
-            out.extend(l.names.iter().map(String::as_str));
-        }
-        out
+/// Every closure in `closures` and below, pre-order (each closure before
+/// the ones nested in it) — the one closure-tree traversal the flow
+/// passes share.
+pub(crate) fn closure_tree(closures: &[Closure]) -> Vec<&Closure> {
+    let mut out = Vec::new();
+    for c in closures {
+        out.push(c);
+        out.extend(closure_tree(&c.closures));
     }
+    out
 }
 
 /// Parses `tokens` into the item/closure tree. Never fails; see module
@@ -144,11 +145,11 @@ fn parse_fn(toks: &[Token], sig: &[usize], s: usize) -> (Option<FnItem>, usize) 
     j += 1;
     // Generics: `<` … `>` with `->` arrows inside (`fn f<F: Fn(u32) -> u64>`)
     // not closing the list.
-    if at_punct(toks, sig, j, '<') {
+    if at(toks, sig, j, '<') {
         j = skip_angle_group(toks, sig, j);
     }
     // Parameters.
-    if !at_punct(toks, sig, j, '(') {
+    if !at(toks, sig, j, '(') {
         return (None, j);
     }
     let params_start = j + 1;
@@ -226,7 +227,7 @@ fn scan_block(
                 closures.push(closure);
                 j = next;
             }
-            TokenKind::Ident(name) if name == "move" && at_punct(toks, sig, j + 1, '|') => {
+            TokenKind::Ident(name) if name == "move" && at(toks, sig, j + 1, '|') => {
                 let (closure, next) = parse_closure(toks, sig, j + 1, end, true);
                 closures.push(closure);
                 j = next;
@@ -248,7 +249,7 @@ fn scan_for_closures(toks: &[Token], sig: &[usize], range: SigRange, closures: &
                 closures.push(closure);
                 j = next;
             }
-            TokenKind::Ident(name) if name == "move" && at_punct(toks, sig, j + 1, '|') => {
+            TokenKind::Ident(name) if name == "move" && at(toks, sig, j + 1, '|') => {
                 let (closure, next) = parse_closure(toks, sig, j + 1, end, true);
                 closures.push(closure);
                 j = next;
@@ -274,7 +275,7 @@ fn parse_let(toks: &[Token], sig: &[usize], s: usize, limit: usize) -> (LetBindi
             TokenKind::Punct('{') => break, // `let x = loop {`? no: brace before `=` ends pattern scan defensively
             TokenKind::Punct(';') if depth <= 0 => break,
             TokenKind::Punct('=') if depth <= 0 => {
-                let next_eq = at_punct(toks, sig, j + 1, '=') || at_punct(toks, sig, j + 1, '>');
+                let next_eq = at(toks, sig, j + 1, '=') || at(toks, sig, j + 1, '>');
                 let prev = j
                     .checked_sub(1)
                     .map(|p| &toks[sig[p]].kind)
@@ -297,9 +298,9 @@ fn parse_let(toks: &[Token], sig: &[usize], s: usize, limit: usize) -> (LetBindi
                 // `=` initializer), idents are binding names — unless they
                 // are path segments (`Some`, `Ok`, enum/struct names
                 // followed by `(`/`{`/`::`).
-                let is_path = at_punct(toks, sig, j + 1, '(')
-                    || at_punct(toks, sig, j + 1, '{')
-                    || (at_punct(toks, sig, j + 1, ':') && at_punct(toks, sig, j + 2, ':'));
+                let is_path = at(toks, sig, j + 1, '(')
+                    || at(toks, sig, j + 1, '{')
+                    || (at(toks, sig, j + 1, ':') && at(toks, sig, j + 2, ':'));
                 if !is_path {
                     names.push(name.clone());
                 }
@@ -310,7 +311,7 @@ fn parse_let(toks: &[Token], sig: &[usize], s: usize, limit: usize) -> (LetBindi
         // after it binds a name.
         if depth <= 0
             && toks[sig[j]].is_punct(':')
-            && !at_punct(toks, sig, j + 1, ':')
+            && !at(toks, sig, j + 1, ':')
             && !(j > s + 1 && toks[sig[j - 1]].is_punct(':'))
         {
             // Fast-forward to the `=` / `;`.
@@ -325,14 +326,14 @@ fn parse_let(toks: &[Token], sig: &[usize], s: usize, limit: usize) -> (LetBindi
                         continue;
                     }
                     TokenKind::Punct(';') if d <= 0 => break,
-                    TokenKind::Punct('=') if d <= 0 && !at_punct(toks, sig, k + 1, '=') => break,
+                    TokenKind::Punct('=') if d <= 0 && !at(toks, sig, k + 1, '=') => break,
                     TokenKind::Punct('{') if d <= 0 => break,
                     _ => {}
                 }
                 k += 1;
             }
             j = k;
-            if at_punct(toks, sig, j, '=') {
+            if at(toks, sig, j, '=') {
                 eq = Some(j);
             }
             break;
@@ -394,7 +395,7 @@ fn parse_closure(
 ) -> (Closure, usize) {
     let line = toks[sig[bar]].line;
     let mut params = Vec::new();
-    let nullary = at_punct(toks, sig, bar + 1, '|');
+    let nullary = at(toks, sig, bar + 1, '|');
     let mut j;
     if nullary {
         j = bar + 2;
@@ -428,7 +429,7 @@ fn parse_closure(
     }
     // Body: a block `{ … }`, or a bare expression up to `,` / `)` / `;`
     // at depth 0.
-    let (body, next) = if at_punct(toks, sig, j, '{') {
+    let (body, next) = if at(toks, sig, j, '{') {
         let close = match_group(toks, sig, j, '{', '}');
         ((j + 1, close.saturating_sub(1).max(j + 1)), close)
     } else {
@@ -491,7 +492,7 @@ fn param_names(toks: &[Token], sig: &[usize], start: usize, end: usize) -> Vec<S
     let mut j = start;
     while j < end.min(sig.len()) {
         if let TokenKind::Ident(name) = &toks[sig[j]].kind {
-            let single_colon = at_punct(toks, sig, j + 1, ':') && !at_punct(toks, sig, j + 2, ':');
+            let single_colon = at(toks, sig, j + 1, ':') && !at(toks, sig, j + 2, ':');
             let prev_colon = j > start && toks[sig[j - 1]].is_punct(':');
             if single_colon && !prev_colon && name != "self" {
                 out.push(name.clone());
@@ -554,10 +555,6 @@ fn skip_angle_group(toks: &[Token], sig: &[usize], s: usize) -> usize {
         j += 1;
     }
     sig.len()
-}
-
-fn at_punct(toks: &[Token], sig: &[usize], j: usize, c: char) -> bool {
-    sig.get(j).is_some_and(|&t| toks[t].is_punct(c))
 }
 
 #[cfg(test)]
@@ -630,8 +627,11 @@ mod tests {
         assert_eq!(inner.len(), 1);
         assert!(inner[0].nullary && inner[0].is_move);
         assert_eq!(inner[0].lets[0].names, ["local"]);
-        let locals = Ast::closure_locals(&inner[0]);
-        assert!(locals.contains(&"local") && !locals.contains(&"k"));
+        // The tree walk visits the outer closure before the nested one.
+        let tree = closure_tree(&ast.fns[0].closures);
+        assert_eq!(tree.len(), 2);
+        assert_eq!(tree[0].params, ["k"]);
+        assert!(tree[1].nullary && tree[1].is_move);
     }
 
     #[test]

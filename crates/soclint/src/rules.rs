@@ -22,9 +22,13 @@
 //! | `cfg-test-gate` | all library code | `mod tests` must be `#[cfg(test)]`-gated |
 //! | `allow-syntax` | everywhere | suppressions must name known rules and carry `-- <reason>` |
 //!
-//! The first seven are token-pattern rules; `taint-*` and the capture
-//! family run on the pass-1 tree from [`crate::parse`] (see
-//! [`crate::taint`] and [`crate::captures`]).
+//! The first seven, `relaxed-ordering`, `order-sensitive-reduce` and the
+//! hygiene rules are token patterns, run by `check_tokens`. `taint-*`
+//! come from the per-fn taint walk and `capture-mut`/`dsan-escape` from
+//! the job-thunk walk, both in the per-file pass
+//! [`crate::facts::analyze_file`] (see [`crate::taint`] and
+//! [`crate::captures`]). The last three are workspace rules
+//! ([`crate::graph`]).
 //!
 //! Suppression: `// soclint: allow(rule-a, rule-b) -- reason`. A trailing
 //! comment suppresses its own line; a comment alone on a line suppresses
@@ -34,8 +38,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{lex, Token, TokenKind, Tokens};
-use crate::scope::{classify, test_spans, FileScope, TestSpans};
+use crate::lexer::{at, ident_at, Token, TokenKind, Tokens};
+use crate::scope::{FileScope, TestSpans};
 
 /// Identifiers of every rule, in reporting order.
 pub const RULE_IDS: &[&str] = &[
@@ -200,19 +204,20 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Parsed suppressions for one file.
-#[derive(Debug, Default)]
-pub(crate) struct Allows {
-    /// rule id -> lines on which it is suppressed.
-    pub(crate) lines: BTreeMap<String, BTreeSet<u32>>,
-    /// rule ids suppressed for the whole file.
-    pub(crate) file_wide: BTreeSet<String>,
-    /// Malformed directives found while parsing.
-    pub(crate) errors: Vec<(u32, String)>,
+/// Parsed suppressions for one file. The per-file rules consult it as
+/// they report; [`crate::facts::FileFacts`] carries it on to the
+/// workspace rules in [`crate::graph`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Allows {
+    /// Rule id → lines on which it is suppressed.
+    pub lines: BTreeMap<String, BTreeSet<u32>>,
+    /// Rule ids suppressed for the whole file.
+    pub file_wide: BTreeSet<String>,
 }
 
 impl Allows {
-    fn permits(&self, rule: &str, line: u32) -> bool {
+    /// True when `rule` is suppressed on `line`.
+    pub fn permits(&self, rule: &str, line: u32) -> bool {
         self.file_wide.contains(rule)
             || self
                 .lines
@@ -221,87 +226,45 @@ impl Allows {
     }
 }
 
-/// Lints one file's source text under the scope its path implies.
+/// Lints one file's source text under the scope its path implies: the
+/// reported diagnostics of [`crate::facts::analyze_file`].
 ///
 /// `path` must be workspace-relative with `/` separators — rule scoping
 /// is path-based, so the same source text can lint differently at
 /// different paths (the fixture suite leans on this).
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
-    lint_tokens(path, &lex(source)).0
+    crate::facts::analyze_file(path, source).diags
 }
 
-/// [`lint_source`] over pre-lexed tokens, so callers that also extract
-/// facts ([`crate::facts`]) lex only once. Returns `(reported,
-/// suppressed)`: findings an `allow` directive swallowed are kept so the
-/// SARIF renderer can surface them as `note`-level results — every
-/// suppression stays visible in code scanning instead of vanishing.
-pub(crate) fn lint_tokens(path: &str, tokens: &Tokens) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-    let scope = classify(path);
-    let spans = test_spans(tokens);
-    let allows = parse_allows(tokens);
-
-    let mut out = Vec::new();
-    let mut allowed = Vec::new();
-    let mut push = |rule: &str, line: u32, message: String| {
-        let d = Diagnostic {
-            file: path.to_string(),
-            line,
-            rule: rule.to_string(),
-            message,
-        };
-        if allows.permits(rule, line) {
-            allowed.push(d);
-        } else {
-            out.push(d);
-        }
-    };
-
-    for (line, message) in &allows.errors {
-        push("allow-syntax", *line, message.clone());
-    }
-
-    let sig = tokens.significant();
-    let toks = &tokens.all;
+/// The token-pattern rules over one file's significant tokens, plus the
+/// header check for compilation roots. The flow rules run in the per-fn
+/// walks of [`crate::facts::analyze_file`].
+pub(crate) fn check_tokens(
+    scope: &FileScope,
+    toks: &[Token],
+    sig: &[usize],
+    spans: &TestSpans,
+    push: &mut dyn FnMut(&str, u32, String),
+) {
     let in_test = |line: u32| scope.all_test || spans.contains(line);
-
     for (si, &ti) in sig.iter().enumerate() {
         let t = &toks[ti];
-        let line = t.line;
-        if in_test(line) {
+        if in_test(t.line) {
             continue;
         }
-        check_determinism(&scope, toks, &sig, si, t, &mut push);
-        check_robustness(&scope, toks, &sig, si, t, &mut push);
-        check_test_gate(&scope, toks, &sig, si, t, &spans, &mut push);
+        check_determinism(scope, toks, sig, si, t, push);
+        check_robustness(scope, toks, sig, si, t, push);
+        check_test_gate(scope, toks, sig, si, t, spans, push);
     }
-
-    // Flow-aware passes on the pass-1 tree. The parse only runs for files
-    // some flow rule actually scopes to — the token rules above don't
-    // need it.
-    if scope.untrusted_parser || scope.capture_checked {
-        let ast = crate::parse::parse(tokens);
-        if scope.untrusted_parser {
-            crate::taint::check(&ast, toks, &in_test, &mut push);
-        }
-        if scope.capture_checked {
-            crate::captures::check_captures(&ast, toks, &in_test, &mut push);
-            crate::captures::check_dsan_escape(&ast, toks, &in_test, &mut push);
-            crate::captures::check_reductions(toks, &sig, &in_test, &mut push);
-        }
+    if scope.capture_checked {
+        crate::captures::check_reductions(toks, sig, &in_test, push);
     }
     if scope.determinism {
-        crate::captures::check_orderings(toks, &sig, &in_test, &mut push);
+        crate::captures::check_orderings(toks, sig, &in_test, push);
     }
-
-    if scope.lib_root {
-        check_deny_header(tokens, true, &mut push);
-    } else if scope.bin_root {
-        check_deny_header(tokens, false, &mut push);
+    if scope.lib_root || scope.bin_root {
+        check_deny_header(toks, sig, scope.lib_root, push);
     }
-
-    out.sort();
-    allowed.sort();
-    (out, allowed)
 }
 
 /// Determinism rules: hash collections, wall clock, entropy, NaN-unsafe
@@ -312,7 +275,7 @@ fn check_determinism(
     sig: &[usize],
     si: usize,
     t: &Token,
-    push: &mut impl FnMut(&str, u32, String),
+    push: &mut dyn FnMut(&str, u32, String),
 ) {
     let Some(name) = t.ident() else { return };
     if scope.determinism {
@@ -372,94 +335,94 @@ fn check_robustness(
     sig: &[usize],
     si: usize,
     t: &Token,
-    push: &mut impl FnMut(&str, u32, String),
+    push: &mut dyn FnMut(&str, u32, String),
 ) {
     if !scope.untrusted_parser {
         return;
     }
-    match &t.kind {
-        TokenKind::Ident(name) => {
-            const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
-            const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-            if PANIC_METHODS.contains(&name.as_str())
-                && prev_is(toks, sig, si, '.')
-                && next_is(toks, sig, si, '(')
-            {
-                push(
-                    "panic-path",
-                    t.line,
-                    format!(
-                        "`.{name}()` on an untrusted-input path: malformed input must \
-                         surface as a typed error, never a panic"
-                    ),
-                );
-            }
-            if PANIC_MACROS.contains(&name.as_str()) && next_is(toks, sig, si, '!') {
-                push(
-                    "panic-path",
-                    t.line,
-                    format!("`{name}!` on an untrusted-input path: return a typed error instead"),
-                );
-            }
-            const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "isize"];
-            if name == "as" {
-                if let Some(target) = sig
-                    .get(si + 1)
-                    .and_then(|&j| toks[j].ident())
-                    .filter(|target| NARROW.contains(target))
-                {
-                    push(
-                        "as-narrowing",
-                        t.line,
-                        format!(
-                            "`as {target}` can silently truncate untrusted values; use \
-                             `{target}::try_from` and report the failure"
-                        ),
-                    );
-                }
-            }
+    if let Some((what, remedy)) = panic_site(toks, sig, si) {
+        push(
+            "panic-path",
+            t.line,
+            format!("{what} on an untrusted-input path: {remedy}"),
+        );
+    }
+    if is_index_expr(toks, sig, si) {
+        push(
+            "unchecked-index",
+            t.line,
+            "indexing can panic on untrusted input; use `.get(..)` and handle `None`".to_string(),
+        );
+    }
+    const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "isize"];
+    if t.is_ident("as") {
+        if let Some(target) = ident_at(toks, sig, si + 1).filter(|target| NARROW.contains(target)) {
+            push(
+                "as-narrowing",
+                t.line,
+                format!(
+                    "`as {target}` can silently truncate untrusted values; use \
+                     `{target}::try_from` and report the failure"
+                ),
+            );
         }
-        TokenKind::Punct('[') => {
-            // `expr[...]`: an open bracket right after an identifier, `)`,
-            // or `]` is an index expression (attributes arrive after `#`,
-            // macros after `!`, types after `:`/`<`/`&` — none match).
-            let indexes = si > 0
-                && match &toks[sig[si - 1]].kind {
-                    TokenKind::Ident(prev) => prev != "as" && !is_keyword_before_bracket(prev),
-                    TokenKind::Punct(')') | TokenKind::Punct(']') => true,
-                    _ => false,
-                };
-            if indexes {
-                push(
-                    "unchecked-index",
-                    t.line,
-                    "indexing can panic on untrusted input; use `.get(..)` and handle `None`"
-                        .to_string(),
-                );
-            }
-        }
-        _ => {}
     }
 }
 
-/// Keywords that can directly precede `[` without forming an index
-/// expression (`let [a, b] = …` slice patterns, `return [..]`, `in [..]`, …).
-fn is_keyword_before_bracket(name: &str) -> bool {
-    matches!(
-        name,
-        "let"
-            | "for"
-            | "return"
-            | "break"
-            | "in"
-            | "if"
-            | "while"
-            | "match"
-            | "else"
-            | "move"
-            | "mut"
-            | "dyn"
-    )
+/// An explicit panic site at significant token `j` — `.unwrap()`-family
+/// method calls and `panic!`-family macros — as (what, remedy). Shared by
+/// `panic-path` and the per-fn panic facts.
+pub(crate) fn panic_site(
+    toks: &[Token],
+    sig: &[usize],
+    j: usize,
+) -> Option<(String, &'static str)> {
+    const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
+    const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+    let name = ident_at(toks, sig, j)?;
+    if PANIC_METHODS.contains(&name)
+        && j > 0
+        && at(toks, sig, j - 1, '.')
+        && at(toks, sig, j + 1, '(')
+    {
+        Some((
+            format!("`.{name}()`"),
+            "malformed input must surface as a typed error, never a panic",
+        ))
+    } else if PANIC_MACROS.contains(&name) && at(toks, sig, j + 1, '!') {
+        Some((format!("`{name}!`"), "return a typed error instead"))
+    } else {
+        None
+    }
+}
+
+/// `expr[...]`: an open bracket right after an identifier, `)`, or `]` is
+/// an index expression (attributes arrive after `#`, macros after `!`,
+/// types after `:`/`<`/`&`, and keywords such as `let [a, b] = …` or
+/// `return [..]` open slice patterns and array literals — none match).
+pub(crate) fn is_index_expr(toks: &[Token], sig: &[usize], j: usize) -> bool {
+    if !at(toks, sig, j, '[') || j == 0 {
+        return false;
+    }
+    match &toks[sig[j - 1]].kind {
+        TokenKind::Ident(prev) => !matches!(
+            prev.as_str(),
+            "as" | "let"
+                | "for"
+                | "return"
+                | "break"
+                | "in"
+                | "if"
+                | "while"
+                | "match"
+                | "else"
+                | "move"
+                | "mut"
+                | "dyn"
+        ),
+        TokenKind::Punct(')') | TokenKind::Punct(']') => true,
+        _ => false,
+    }
 }
 
 /// Hygiene: `mod tests` must be gated.
@@ -470,7 +433,7 @@ fn check_test_gate(
     si: usize,
     t: &Token,
     spans: &TestSpans,
-    push: &mut impl FnMut(&str, u32, String),
+    push: &mut dyn FnMut(&str, u32, String),
 ) {
     if scope.all_test {
         return;
@@ -496,25 +459,20 @@ fn check_test_gate(
 /// roots need `#![forbid(unsafe_code)]` only (doc coverage is not
 /// enforced on harnesses).
 fn check_deny_header(
-    tokens: &crate::lexer::Tokens,
+    toks: &[Token],
+    sig: &[usize],
     require_docs: bool,
-    push: &mut impl FnMut(&str, u32, String),
+    push: &mut dyn FnMut(&str, u32, String),
 ) {
-    let sig = tokens.significant();
-    let toks = &tokens.all;
     let mut has_forbid_unsafe = false;
     let mut has_deny_missing_docs = false;
-    for (si, &ti) in sig.iter().enumerate() {
-        if let Some(name) = toks[ti].ident() {
-            match name {
-                "forbid" => {
-                    has_forbid_unsafe |= attr_args_contain(toks, &sig, si, "unsafe_code");
-                }
-                "deny" => {
-                    has_deny_missing_docs |= attr_args_contain(toks, &sig, si, "missing_docs");
-                }
-                _ => {}
+    for si in 0..sig.len() {
+        match ident_at(toks, sig, si) {
+            Some("forbid") => has_forbid_unsafe |= attr_args_contain(toks, sig, si, "unsafe_code"),
+            Some("deny") => {
+                has_deny_missing_docs |= attr_args_contain(toks, sig, si, "missing_docs")
             }
+            _ => {}
         }
     }
     let kind = if require_docs {
@@ -564,25 +522,16 @@ fn attr_args_contain(toks: &[Token], sig: &[usize], si: usize, wanted: &str) -> 
 
 /// True when the significant tokens after `si` are `:: name`.
 fn followed_by_path(toks: &[Token], sig: &[usize], si: usize, name: &str) -> bool {
-    prev_or_next_colons(toks, sig, si) && sig.get(si + 3).is_some_and(|&j| toks[j].is_ident(name))
+    at(toks, sig, si + 1, ':')
+        && at(toks, sig, si + 2, ':')
+        && ident_at(toks, sig, si + 3) == Some(name)
 }
 
-fn prev_or_next_colons(toks: &[Token], sig: &[usize], si: usize) -> bool {
-    sig.get(si + 1).is_some_and(|&j| toks[j].is_punct(':'))
-        && sig.get(si + 2).is_some_and(|&j| toks[j].is_punct(':'))
-}
-
-fn prev_is(toks: &[Token], sig: &[usize], si: usize, c: char) -> bool {
-    si > 0 && toks[sig[si - 1]].is_punct(c)
-}
-
-fn next_is(toks: &[Token], sig: &[usize], si: usize, c: char) -> bool {
-    sig.get(si + 1).is_some_and(|&j| toks[j].is_punct(c))
-}
-
-/// Extracts `soclint: allow(...)` directives from comment tokens.
-pub(crate) fn parse_allows(tokens: &crate::lexer::Tokens) -> Allows {
+/// Extracts `soclint: allow(...)` directives from comment tokens, plus
+/// the malformed ones as (line, message) for `allow-syntax`.
+pub(crate) fn parse_allows(tokens: &Tokens) -> (Allows, Vec<(u32, String)>) {
     let mut allows = Allows::default();
+    let mut errors = Vec::new();
     // Per code line: the first and last significant token, to decide
     // whether a directive is trailing (suppresses its own line) or
     // standalone (suppresses the next code line), and to step over
@@ -626,7 +575,7 @@ pub(crate) fn parse_allows(tokens: &crate::lexer::Tokens) -> Allows {
         let (rules, file_wide) = match parse_directive(directive) {
             Ok(parsed) => parsed,
             Err(msg) => {
-                allows.errors.push((t.line, msg));
+                errors.push((t.line, msg));
                 continue;
             }
         };
@@ -649,7 +598,7 @@ pub(crate) fn parse_allows(tokens: &crate::lexer::Tokens) -> Allows {
             }
         }
     }
-    allows
+    (allows, errors)
 }
 
 /// Parses the text after `soclint:` — `allow(rule, …) -- reason` or

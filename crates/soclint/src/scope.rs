@@ -51,7 +51,8 @@ pub const UNTRUSTED_PARSER_FILES: &[&str] = &[
 ];
 
 /// Crates that build or submit `parpool` job closures; the closure-capture
-/// rules (`capture-mut`, `order-sensitive-reduce`) run here.
+/// rules (`capture-mut`, `dsan-escape`, `order-sensitive-reduce`) run
+/// here.
 pub const CAPTURE_CRATES: &[&str] = &["parpool", "tam", "tdcsoc", "fleet"];
 
 /// Everything soclint knows about one file before rules run.

@@ -1,10 +1,12 @@
-//! Pass 2a: untrusted-input taint analysis for the parser files.
+//! The dataflow half of the per-fn walk in [`crate::facts::analyze_file`]:
+//! which calls introduce and sanitize taint, how `let` bindings carry it,
+//! and what a tainted value reaching a sink means.
 //!
 //! The robustness contract (DESIGN.md §9) says malformed ITC'02 / plan /
 //! pattern / vector input must surface as typed errors. The token rules
 //! (`panic-path`, `unchecked-index`, `as-narrowing`) ban the *syntactic*
-//! crash sites; this module closes the flow gap: a value that **originates
-//! from a reader or parse call** must not reach
+//! crash sites; the taint walk closes the flow gap: a value that
+//! **originates from a reader or parse call** must not reach
 //!
 //! - an arithmetic sink (`+`, `-`, `*`, including compound assignment)
 //!   outside a `checked_*`/`saturating_*`/`wrapping_*`/`try_from`
@@ -23,13 +25,21 @@
 //! (`sink ← binding ← source call at line N`) so a finding is auditable
 //! without re-running the analysis.
 //!
+//! Each binding carries up to two taint roots, so neither masks the
+//! other: **source-rooted** (it derives from a source call — the
+//! `taint-*` rules, in the untrusted-parser scope) and
+//! **parameter-rooted** (it derives from the enclosing fn's parameter —
+//! the sink summaries the interprocedural `cross-taint` rule in
+//! [`crate::graph`] consumes). Call arguments carry either kind into the
+//! argument flows.
+//!
 //! Known false-negative classes are documented in DESIGN.md §13 (taint
 //! through struct fields, through collections, and across files).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Token, TokenKind};
-use crate::parse::{Ast, FnItem};
+use crate::lexer::{at, ident_at, Token, TokenKind};
+use crate::parse::{Ast, LetBinding};
 
 /// Method/function names that introduce taint when called.
 pub(crate) fn is_source_name(name: &str) -> bool {
@@ -59,23 +69,147 @@ pub(crate) fn is_sanitizer_name(name: &str) -> bool {
 pub(crate) const SLICE_SINKS: &[&str] =
     &["copy_from_slice", "split_at", "split_at_mut", "split_off"];
 
-/// Where a binding's taint came from, for chain rendering.
+/// One root of a binding's taint: the enclosing fn's parameter it derives
+/// from (`None`: a source call), with the rendered chain back to it.
 #[derive(Debug, Clone)]
-struct Taint {
-    chain: String,
+pub(crate) struct Root {
+    pub(crate) param: Option<String>,
+    pub(crate) chain: String,
 }
 
-/// Runs the taint rules over every function in `ast`, reporting through
-/// `push(rule, line, message)`. `in_test` exempts test-span lines.
-pub fn check(
-    ast: &Ast,
-    toks: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    let sources = derived_sources(ast, toks);
-    for f in &ast.fns {
-        check_fn(f, ast, toks, &sources, in_test, push);
+/// A binding's taint: its roots in arrival order, at most one
+/// source-rooted and one parameter-rooted, so neither masks the other.
+/// Empty means clean.
+pub(crate) type Taint = Vec<Root>;
+
+/// A sink a tainted value can reach.
+pub(crate) enum Sink<'a> {
+    /// Raw `+`/`-`/`*` (the operator).
+    Arith(char),
+    /// `expr[…]` indexing.
+    Index,
+    /// A [`SLICE_SINKS`] call (the method name).
+    Slice(&'a str),
+}
+
+impl Sink<'_> {
+    /// The rule a source-rooted hit reports under.
+    pub(crate) fn rule(&self) -> &'static str {
+        match self {
+            Sink::Arith(_) => "taint-arith",
+            Sink::Index | Sink::Slice(_) => "taint-index",
+        }
+    }
+
+    fn message(&self, a: &str, chain: &str) -> String {
+        match self {
+            Sink::Arith(op) => {
+                let name = match op {
+                    '+' => "add",
+                    '-' => "sub",
+                    _ => "mul",
+                };
+                format!(
+                    "`{a}` reaches raw `{op}` ({chain}): untrusted arithmetic can overflow; use \
+                     `checked_{name}`/`saturating_{name}` or widen via `try_from`"
+                )
+            }
+            Sink::Index => format!(
+                "`{a}` indexes a slice unguarded ({chain}): a corrupt input can push it out of \
+                 bounds; check it against the length or use `.get({a})`"
+            ),
+            Sink::Slice(name) => format!(
+                "`{a}` reaches `{name}(…)` unguarded ({chain}): a corrupt input can make the \
+                 length panic; bounds-check `{a}` first or use a fallible split"
+            ),
+        }
+    }
+}
+
+/// One fn's dataflow state as the walk advances through its body in
+/// source order. Flow sensitivity comes for free: a guard recognized at
+/// token *i* protects every sink at tokens *> i*.
+#[derive(Debug, Default)]
+pub(crate) struct FlowState {
+    /// Tainted bindings (parameters start parameter-rooted).
+    pub(crate) tainted: BTreeMap<String, Taint>,
+    /// Bindings bounds-guarded since their last tainting `let`.
+    pub(crate) guarded: BTreeSet<String>,
+    /// Parameter → first raw-arithmetic and first unguarded-index line.
+    pub(crate) sinks: BTreeMap<String, (Option<u32>, Option<u32>)>,
+}
+
+impl FlowState {
+    /// Fresh state for a fn with these parameters.
+    pub(crate) fn new(params: &[String]) -> Self {
+        let tainted = params
+            .iter()
+            .map(|p| {
+                let chain = format!("parameter `{p}`");
+                (
+                    p.clone(),
+                    vec![Root {
+                        param: Some(p.clone()),
+                        chain,
+                    }],
+                )
+            })
+            .collect();
+        FlowState {
+            tainted,
+            ..FlowState::default()
+        }
+    }
+
+    /// Applies a `let` whose initializer the walk has fully passed.
+    /// Re-binding a name to a clean value clears its taint
+    /// (`let n = usize::try_from(n)?;`).
+    pub(crate) fn bind(
+        &mut self,
+        l: &LetBinding,
+        toks: &[Token],
+        sig: &[usize],
+        sources: &BTreeSet<String>,
+    ) {
+        let t = init_taint(l, toks, sig, sources, &self.tainted);
+        for name in &l.names {
+            if t.is_empty() {
+                self.tainted.remove(name);
+            } else {
+                self.tainted.insert(name.clone(), t.clone());
+                self.guarded.remove(name);
+            }
+        }
+    }
+
+    /// Records binding `a` reaching `sink` at `line` (index and slice
+    /// sinks respect guards): a parameter root extends that parameter's
+    /// sink summary, and a source root yields the `taint-*` message when
+    /// `report` is set.
+    pub(crate) fn reach(
+        &mut self,
+        a: &str,
+        sink: &Sink,
+        line: u32,
+        report: bool,
+    ) -> Option<String> {
+        let roots = self.tainted.get(a)?;
+        let arith = matches!(sink, Sink::Arith(_));
+        if !arith && self.guarded.contains(a) {
+            return None;
+        }
+        let mut message = None;
+        for root in roots {
+            match &root.param {
+                Some(p) => {
+                    let (first_arith, first_index) = self.sinks.entry(p.clone()).or_default();
+                    if arith { first_arith } else { first_index }.get_or_insert(line);
+                }
+                None if report => message = Some(sink.message(a, &root.chain)),
+                None => {}
+            }
+        }
+        message
     }
 }
 
@@ -90,16 +224,11 @@ pub(crate) fn derived_sources(ast: &Ast, toks: &[Token]) -> BTreeSet<String> {
                 continue;
             }
             let (start, end) = f.body;
-            let mut calls_source = false;
-            for j in start..end.min(ast.sig.len()) {
-                if let TokenKind::Ident(name) = &toks[ast.sig[j]].kind {
-                    let called = is_call(toks, &ast.sig, j);
-                    if called && (is_source_name(name) || sources.contains(name)) {
-                        calls_source = true;
-                        break;
-                    }
-                }
-            }
+            let calls_source = (start..end.min(ast.sig.len())).any(|j| {
+                ident_at(toks, &ast.sig, j).is_some_and(|name| {
+                    (is_source_name(name) || sources.contains(name)) && is_call(toks, &ast.sig, j)
+                })
+            });
             if calls_source {
                 sources.insert(f.name.clone());
                 changed = true;
@@ -114,215 +243,82 @@ pub(crate) fn derived_sources(ast: &Ast, toks: &[Token]) -> BTreeSet<String> {
 /// True when the ident at sig index `j` is called: followed by `(`,
 /// optionally through a turbofish (`parse::<u32>(`).
 pub(crate) fn is_call(toks: &[Token], sig: &[usize], j: usize) -> bool {
+    call_open(toks, sig, j).is_some()
+}
+
+/// The sig index of the call's opening `(` for the callee name at `j`,
+/// stepping over a turbofish.
+pub(crate) fn call_open(toks: &[Token], sig: &[usize], j: usize) -> Option<usize> {
     if at(toks, sig, j + 1, '(') {
-        return true;
+        return Some(j + 1);
     }
     // `name::<…>(`
-    if at(toks, sig, j + 1, ':') && at(toks, sig, j + 2, ':') && at(toks, sig, j + 3, '<') {
-        let mut depth = 0i32;
-        let mut k = j + 3;
-        while k < sig.len() {
-            match toks[sig[k]].kind {
-                TokenKind::Punct('<') => depth += 1,
-                TokenKind::Punct('>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return at(toks, sig, k + 1, '(');
-                    }
-                }
-                TokenKind::Punct(';') | TokenKind::Punct('{') => return false,
-                _ => {}
-            }
-            k += 1;
-        }
+    if !(at(toks, sig, j + 1, ':') && at(toks, sig, j + 2, ':') && at(toks, sig, j + 3, '<')) {
+        return None;
     }
-    false
-}
-
-pub(crate) fn at(toks: &[Token], sig: &[usize], j: usize, c: char) -> bool {
-    sig.get(j).is_some_and(|&t| toks[t].is_punct(c))
-}
-
-pub(crate) fn ident_at<'t>(toks: &'t [Token], sig: &[usize], j: usize) -> Option<&'t str> {
-    sig.get(j).and_then(|&t| toks[t].ident())
-}
-
-/// The per-function linear dataflow walk. Processing significant tokens
-/// in source order gives flow sensitivity for free: a guard recognized at
-/// token *i* protects every sink at tokens *> i*.
-fn check_fn(
-    f: &FnItem,
-    ast: &Ast,
-    toks: &[Token],
-    sources: &BTreeSet<String>,
-    in_test: &dyn Fn(u32) -> bool,
-    push: &mut dyn FnMut(&str, u32, String),
-) {
-    let sig = &ast.sig;
-    let mut tainted: BTreeMap<String, Taint> = BTreeMap::new();
-    let mut guarded: BTreeSet<String> = BTreeSet::new();
-
-    // Pre-compute binding taint in source order (bindings are flattened,
-    // so this is one forward pass).
-    let mut lets = f.lets.iter().peekable();
-    let (start, end) = f.body;
-    let mut j = start;
-    while j < end.min(sig.len()) {
-        // Apply any let bindings whose initializer has been fully passed.
-        while let Some(l) = lets.peek() {
-            if l.init.1 <= j {
-                let l = lets.next().expect("peeked");
-                if let Some(taint) = init_taint(l, toks, sig, sources, &tainted) {
-                    for name in &l.names {
-                        tainted.insert(name.clone(), taint.clone());
-                        guarded.remove(name);
-                    }
-                } else {
-                    // Re-binding a name to a clean value clears its taint
-                    // (`let n = usize::try_from(n)?;`).
-                    for name in &l.names {
-                        tainted.remove(name);
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-
-        let t = &toks[sig[j]];
-        let line = t.line;
-        match &t.kind {
-            TokenKind::Ident(name) => {
-                // Guard recognition: a comparison adjacent to the binding
-                // (`n <= cap`, `cap > n`, `n == 0`), or a checked lookup
-                // (`get(n)`, `n.min(…)`).
-                if is_comparison_neighbor(toks, sig, j) {
-                    guarded.insert(name.clone());
-                }
-                if (name == "get" || name == "min" || name == "max") && at(toks, sig, j + 1, '(') {
-                    // Arguments of get/min/max become guarded.
-                    for a in idents_in_group(toks, sig, j + 1) {
-                        guarded.insert(a);
-                    }
-                }
-                // Call sinks (`copy_from_slice(n)`, `split_at(n)`).
-                if SLICE_SINKS.contains(&name.as_str()) && at(toks, sig, j + 1, '(') {
-                    for a in idents_in_group(toks, sig, j + 1) {
-                        if let Some(taint) = tainted.get(&a) {
-                            if !guarded.contains(&a) && !in_test(line) {
-                                push(
-                                    "taint-index",
-                                    line,
-                                    format!(
-                                        "`{a}` reaches `{name}(…)` unguarded ({}): a corrupt \
-                                         input can make the length panic; bounds-check `{a}` \
-                                         first or use a fallible split",
-                                        taint.chain
-                                    ),
-                                );
-                            }
-                        }
-                    }
+    let mut depth = 0i32;
+    for k in j + 3..sig.len() {
+        match toks[sig[k]].kind {
+            TokenKind::Punct('<') => depth += 1,
+            TokenKind::Punct('>') => {
+                depth -= 1;
+                if depth == 0 {
+                    return at(toks, sig, k + 1, '(').then_some(k + 1);
                 }
             }
-            TokenKind::Punct('[') if is_index_expr(toks, sig, j) => {
-                for a in idents_in_bracket_group(toks, sig, j) {
-                    if let Some(taint) = tainted.get(&a) {
-                        if !guarded.contains(&a) && !in_test(line) {
-                            push(
-                                "taint-index",
-                                line,
-                                format!(
-                                    "`{a}` indexes a slice unguarded ({}): a corrupt input \
-                                     can push it out of bounds; check it against the length \
-                                     or use `.get({a})`",
-                                    taint.chain
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-            TokenKind::Punct(op @ ('+' | '-' | '*')) if is_binary_arith(toks, sig, j) => {
-                for a in [
-                    ident_at(toks, sig, j.wrapping_sub(1)),
-                    arith_rhs(toks, sig, j),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if let Some(taint) = tainted.get(a) {
-                        if !in_test(line) {
-                            push(
-                                "taint-arith",
-                                line,
-                                format!(
-                                    "`{a}` reaches raw `{op}` ({}): untrusted arithmetic can \
-                                     overflow; use `checked_{}`/`saturating_{}` or widen via \
-                                     `try_from`",
-                                    taint.chain,
-                                    arith_name(*op),
-                                    arith_name(*op)
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
+            TokenKind::Punct(';') | TokenKind::Punct('{') => return None,
             _ => {}
         }
-        j += 1;
     }
+    None
 }
 
-fn arith_name(op: char) -> &'static str {
-    match op {
-        '+' => "add",
-        '-' => "sub",
-        _ => "mul",
-    }
-}
-
-/// Taint for a `let` initializer: `Some` when the init range contains a
-/// source call (or an already-tainted ident) and no sanitizer call.
+/// Taint for a `let` initializer. A sanitizer call anywhere cleans the
+/// binding. Otherwise a source call makes it source-rooted only — the
+/// call yields a *parsed* value, whatever its receiver was — and without
+/// one, it inherits the roots of its tainted idents in token order, the
+/// first of each kind.
 fn init_taint(
-    l: &crate::parse::LetBinding,
+    l: &LetBinding,
     toks: &[Token],
     sig: &[usize],
     sources: &BTreeSet<String>,
     tainted: &BTreeMap<String, Taint>,
-) -> Option<Taint> {
+) -> Taint {
     let (start, end) = l.init;
-    let mut found: Option<Taint> = None;
+    let mut call: Option<String> = None;
+    let mut via = Taint::new();
     for j in start..end.min(sig.len()) {
         let Some(name) = ident_at(toks, sig, j) else {
             continue;
         };
         if is_call(toks, sig, j) {
             if is_sanitizer_name(name) {
-                return None;
+                return Taint::new();
             }
-            if (is_source_name(name) || sources.contains(name)) && found.is_none() {
-                found = Some(Taint {
-                    chain: format!("← `{name}(…)` at line {}", toks[sig[j]].line),
-                });
+            if call.is_none() && (is_source_name(name) || sources.contains(name)) {
+                call = Some(format!("← `{name}(…)` at line {}", toks[sig[j]].line));
             }
-        } else if let Some(t) = tainted.get(name) {
-            if found.is_none() {
-                // Chain through the prior binding, capped so messages
-                // stay readable.
-                let prior = truncate_chain(&t.chain);
-                found = Some(Taint {
-                    chain: format!("← `{name}` {prior}"),
-                });
+        } else if let Some(roots) = tainted.get(name) {
+            for r in roots {
+                if !via.iter().any(|v| v.param.is_some() == r.param.is_some()) {
+                    let chain = format!("← `{name}` {}", truncate_chain(&r.chain));
+                    via.push(Root {
+                        param: r.param.clone(),
+                        chain,
+                    });
+                }
             }
         }
     }
-    found
+    match call {
+        Some(chain) => vec![Root { param: None, chain }],
+        None => via,
+    }
 }
 
-/// Keeps at most two links of an existing chain.
-fn truncate_chain(chain: &str) -> String {
+/// Keeps at most two links of a chain so messages stay readable.
+pub(crate) fn truncate_chain(chain: &str) -> String {
     let mut parts: Vec<&str> = chain.split(" ← ").collect();
     if parts.len() > 2 {
         parts.truncate(2);
@@ -392,33 +388,6 @@ fn idents_in_matched(
     out
 }
 
-/// Mirrors the `unchecked-index` heuristic: `[` right after an operand.
-pub(crate) fn is_index_expr(toks: &[Token], sig: &[usize], j: usize) -> bool {
-    j > 0
-        && match &toks[sig[j - 1]].kind {
-            TokenKind::Ident(prev) => {
-                prev != "as"
-                    && !matches!(
-                        prev.as_str(),
-                        "let"
-                            | "for"
-                            | "return"
-                            | "break"
-                            | "in"
-                            | "if"
-                            | "while"
-                            | "match"
-                            | "else"
-                            | "move"
-                            | "mut"
-                            | "dyn"
-                    )
-            }
-            TokenKind::Punct(')') | TokenKind::Punct(']') => true,
-            _ => false,
-        }
-}
-
 /// True when the `+`/`-`/`*` at `j` is a binary operator (an operand on
 /// the left) rather than a unary minus, deref, arrow, or attribute
 /// position. Compound assignment (`x += y`) counts: it is arithmetic.
@@ -465,18 +434,14 @@ pub(crate) fn arith_rhs<'t>(toks: &'t [Token], sig: &[usize], j: usize) -> Optio
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::lexer::lex;
-    use crate::parse::parse;
-
+    /// The `taint-*` findings of the per-file pass at an untrusted-parser
+    /// path.
     fn run(src: &str) -> Vec<(String, u32, String)> {
-        let tokens = lex(src);
-        let ast = parse(&tokens);
-        let mut out = Vec::new();
-        check(&ast, &tokens.all, &|_| false, &mut |rule, line, msg| {
-            out.push((rule.to_string(), line, msg))
-        });
-        out
+        crate::lint_source("crates/tdcsoc/src/planfile.rs", src)
+            .into_iter()
+            .filter(|d| d.rule.starts_with("taint-"))
+            .map(|d| (d.rule, d.line, d.message))
+            .collect()
     }
 
     #[test]
@@ -555,5 +520,50 @@ mod tests {
     #[test]
     fn untainted_arithmetic_is_clean() {
         assert!(run("fn f(a: u64, b: u64) -> u64 { a + b * 2 }\n").is_empty());
+    }
+
+    #[test]
+    fn closure_lets_bind_in_the_enclosing_walk() {
+        // Bindings inside closures carry taint like the fn's own.
+        let hits = run(
+            "fn f(s: &str) { each(|| { let n: u64 = s.parse().unwrap_or(0); \
+                        keep(n + 1); }); }\n",
+        );
+        assert!(
+            hits.iter()
+                .any(|(r, _, m)| r == "taint-arith" && m.contains("`n`")),
+            "{hits:?}"
+        );
+    }
+
+    #[test]
+    fn a_source_call_outranks_an_earlier_tainted_ident() {
+        // `m`'s chain names the call it was parsed by, not the tainted
+        // `n` that precedes the call in its initializer.
+        let hits = run("fn f(s: &str) -> u64 {\n let n: u64 = s.parse().ok()?;\n \
+                        let m: u64 = n.pow(s.parse().ok()?);\n m * 2\n}\n");
+        let m = hits
+            .iter()
+            .find(|(_, _, msg)| msg.contains("`m`"))
+            .expect("m reaches `*`");
+        assert!(m.2.contains("(← `parse(…)` at line 3)"), "{}", m.2);
+    }
+
+    #[test]
+    fn parameter_roots_do_not_mask_source_roots() {
+        // `m` derives from parameter `p` first and from parsed `n` second:
+        // the source root still reports, and the parameter root still
+        // lands in `p`'s sink summary.
+        let src = "fn f(p: u64, s: &str) -> u64 { let n: u64 = s.parse().ok()?; \
+                   let m = combine(p, n); m * 2 }\n";
+        let hits = run(src);
+        assert!(
+            hits.iter()
+                .any(|(r, _, m)| r == "taint-arith" && m.contains("`m` reaches raw `*`")),
+            "{hits:?}"
+        );
+        let facts = crate::facts::analyze_file("crates/tdcsoc/src/planfile.rs", src).facts;
+        let sink = facts.fns[0].param_sinks.iter().find(|s| s.param == "p");
+        assert!(sink.is_some_and(|s| s.arith.is_some()), "{facts:?}");
     }
 }

@@ -6,8 +6,11 @@
 #![forbid(unsafe_code)]
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
+use soclint::facts::analyze_file;
+use soclint::lexer::lex;
+use soclint::parse::parse;
 use soclint::{lint_source, lint_workspace, RULE_IDS, WORKSPACE_RULE_IDS};
 
 /// The workspace-relative path each rule's fixtures pretend to live at.
@@ -113,15 +116,97 @@ fn every_workspace_rule_has_trip_clean_and_allowed_trees() {
     }
 }
 
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("crates/soclint sits two levels under the workspace root")
+}
+
+/// Every `.rs` file under `dir`, recursively, skipping build output.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() && !path.ends_with("target") {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The token rules and the facts share one panic-site predicate, so for
+/// every non-test fn of every workspace and fixture file, linted as an
+/// untrusted parser, `FnFact::panic` is the fn's first `panic-path`
+/// finding, or failing that its first `unchecked-index` finding
+/// (reported and allowed alike). Findings carry only a line, so a fn that
+/// shares its first or last line with a fn it does not contain is skipped.
+#[test]
+fn token_rules_and_facts_agree_on_panic_sites() {
+    const AT: &str = "crates/tdcsoc/src/planfile.rs";
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rs_files(&workspace_root().join(dir), &mut files);
+    }
+    files.sort();
+    let mut checked = 0usize;
+    for file in &files {
+        let src =
+            fs::read_to_string(file).unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        let analysis = analyze_file(AT, &src);
+        let tokens = lex(&src);
+        let ast = parse(&tokens);
+        let line_of = |si: usize| ast.sig.get(si).map_or(u32::MAX, |&t| tokens.all[t].line);
+        let spans: Vec<(&str, u32, u32)> = ast
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.line, line_of(f.body.1)))
+            .collect();
+        for fact in &analysis.facts.fns {
+            let &(_, start, end) = spans
+                .iter()
+                .find(|(name, line, _)| *name == fact.name && *line == fact.line)
+                .expect("every fact is a parsed fn");
+            let shares_a_line = spans.iter().any(|&(_, s, e)| {
+                let nested = start <= s && e <= end && (s, e) != (start, end);
+                !nested
+                    && (s, e) != (start, end)
+                    && ((s..=e).contains(&start) || (s..=e).contains(&end))
+            });
+            if shares_a_line {
+                continue;
+            }
+            let first = |rule: &str| {
+                analysis
+                    .diags
+                    .iter()
+                    .chain(&analysis.allowed)
+                    .filter(|d| d.rule == rule && (start..=end).contains(&d.line))
+                    .map(|d| d.line)
+                    .min()
+            };
+            assert_eq!(
+                fact.panic.as_ref().map(|p| p.line),
+                first("panic-path").or_else(|| first("unchecked-index")),
+                "{}: fn `{}` at line {}",
+                file.display(),
+                fact.name,
+                fact.line
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 500, "only {checked} fns checked");
+}
+
 /// The acceptance gate: the tree as shipped carries zero violations, so any
 /// regression shows up as a test failure, not just a CI lint step.
 #[test]
 fn shipped_workspace_is_violation_free() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/soclint sits two levels under the workspace root");
-    let diags = lint_workspace(root).expect("workspace walk");
+    let diags = lint_workspace(workspace_root()).expect("workspace walk");
     assert!(
         diags.is_empty(),
         "workspace must lint clean:\n{}",

@@ -333,7 +333,7 @@ fn suppressed_findings_surface_as_schema_valid_notes() {
         .parent()
         .and_then(std::path::Path::parent)
         .expect("workspace root");
-    let report = soclint::lint_workspace_report(&root, &soclint::LintOptions::default())
+    let report = soclint::lint_workspace_report(root, &soclint::LintOptions::default())
         .expect("workspace walk");
     assert!(
         !report.allowed.is_empty(),
