@@ -32,9 +32,8 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "fleet",
 ];
 
-/// Crates allowed to read the wall clock: `robust` owns deadlines, the
-/// vendored `criterion` shim times benchmarks.
-pub const WALL_CLOCK_CRATES: &[&str] = &["robust", "criterion", "bench"];
+/// Crates allowed to read the wall clock: `robust` owns deadlines.
+pub const WALL_CLOCK_CRATES: &[&str] = &["robust"];
 
 /// Files that parse untrusted input end to end; panicking there turns bad
 /// input into a crash, so `unwrap`/`expect`/`panic!`/unguarded indexing
@@ -96,7 +95,7 @@ pub fn classify(path: &str) -> FileScope {
         || path.starts_with("examples/");
 
     // Bench binaries in the root package are measurement code, exempt
-    // from the wall-clock ban like the bench crate itself.
+    // from the wall-clock ban.
     let bench_bin = path.starts_with("src/bin/bench_");
 
     let determinism = DETERMINISM_CRATES.contains(&crate_name.as_str()) && !all_test && !bench_bin;

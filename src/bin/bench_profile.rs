@@ -652,6 +652,10 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"suite\": \"profile-fastpath\",");
     let _ = writeln!(json, "  \"label\": \"{label}\",");
+    // The host's CPU count: pooled entries only scale up to it, so a
+    // baseline is comparable only with runs on a host of the same size.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"entries\": [");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
@@ -727,7 +731,8 @@ mod tests {
 
     #[test]
     fn multiline_baseline_layout_parses_too() {
-        let text = "{\n  \"name\": \"plan_z\",\n  \"millis\": 7.5,\n  \"iters\": 1\n}";
+        // A run record: its host `"cores"` line is not an entry.
+        let text = "{\n  \"label\": \"r\",\n  \"cores\": 2,\n  \"entries\": [\n  {\n  \"name\": \"plan_z\",\n  \"millis\": 7.5,\n  \"iters\": 1\n  }\n  ]\n}";
         let parsed = parse_baseline(text);
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].name, "plan_z");
